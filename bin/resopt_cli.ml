@@ -504,21 +504,17 @@ let chaos_cmd =
     in
     let layout = Distrib.Layout.all_cyclic 2 in
     let place v = Distrib.Layout.place layout ~vgrid ~topo v in
-    (* traffic: the 2x2 data flows of the optimized workload plans,
-       falling back to the paper's T when a plan has none *)
+    (* traffic: the 2x2 data flows of the optimized workload plans
+       (example1 and transpose carry them at m = 2) *)
     let flows =
-      let all =
-        List.concat_map
-          (fun (w : Resopt.Workloads.t) ->
-            match
-              Resopt.Pipeline.run ~m:2 ~schedule:w.Resopt.Workloads.schedule
-                w.Resopt.Workloads.nest
-            with
-            | r -> Resopt.Residual.flows_of_plan r.Resopt.Pipeline.plan
-            | exception _ -> [])
-          (Resopt.Workloads.all ())
-      in
-      if all = [] then [ Resopt.Residual.default_flow ] else all
+      List.concat_map
+        (fun (w : Resopt.Workloads.t) ->
+          let r =
+            Resopt.Pipeline.run ~m:2 ~schedule:w.Resopt.Workloads.schedule
+              w.Resopt.Workloads.nest
+          in
+          Resopt.Residual.flows_of_plan r.Resopt.Pipeline.plan)
+        (Resopt.Workloads.all ())
     in
     let msgs =
       Array.of_list

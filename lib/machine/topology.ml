@@ -153,15 +153,22 @@ let grid_neighbors t r =
   done;
   !acc
 
+(* Peels the row-major coordinates off both ranks one dimension at a
+   time instead of materializing them: the placement kernels call this
+   O(n^2) times per mapping, so it must not allocate. *)
 let grid_distance t ~src ~dst =
-  let a = coords_of t src and b = coords_of t dst in
-  let acc = ref 0 in
-  Array.iteri
-    (fun i x ->
-      let d = abs (x - b.(i)) in
-      let d = if is_torus t then min d (dim t i - d) else d in
-      acc := !acc + d)
-    a;
+  let n = size t in
+  if src < 0 || src >= n || dst < 0 || dst >= n then
+    invalid_arg "Topology.distance: out of range";
+  let torus = is_torus t in
+  let a = ref src and b = ref dst and acc = ref 0 in
+  for i = Array.length t.hdims - 1 downto 0 do
+    let k = t.hdims.(i) in
+    let d = abs ((!a mod k) - (!b mod k)) in
+    acc := !acc + if torus then min d (k - d) else d;
+    a := !a / k;
+    b := !b / k
+  done;
   !acc
 
 (* {1 Fat trees}

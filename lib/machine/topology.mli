@@ -129,7 +129,10 @@ val distance : t -> src:int -> dst:int -> int
 (** Hop count of the {e minimal} route (closed form): Manhattan on
     grids, [2 * lca_level] on fat trees, at most 5 on dragonflies —
     independent of the routing mode, so placement search optimizes
-    the same metric adaptive routing is spreading. *)
+    the same metric adaptive routing is spreading.  Symmetric in
+    [src]/[dst] on every topology, and allocation-free.
+    @raise Invalid_argument on grids when a rank is outside
+    [0 .. size t - 1]. *)
 
 val diameter : t -> int
 (** Longest minimal route between any two hosts. *)

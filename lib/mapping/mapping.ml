@@ -52,44 +52,44 @@ let is_valid perm =
       end)
     perm
 
-(* Pairwise hop distances of the topology, symmetric by construction.
-   [Topology.distance] is the minimal-route hop count of the topology
-   at hand — Manhattan on grids as before, up/down depth on fat trees,
-   group hops on dragonflies — so placement search optimizes real
-   distances instead of assuming every machine is a grid. *)
-let dist_table topo =
-  let n = Machine.Topology.size topo in
-  Array.init n (fun src ->
-      Array.init n (fun dst -> Machine.Topology.distance topo ~src ~dst))
+(* [Topology.distance] is the minimal-route hop count of the topology
+   at hand — Manhattan on grids, up/down depth on fat trees, group hops
+   on dragonflies — so placement optimizes real distances instead of
+   assuming every machine is a grid.  It is symmetric on every
+   topology, which the edge-list pricing below relies on. *)
+let topo_dist topo src dst = Machine.Topology.distance topo ~src ~dst
 
-(* Symmetric weight matrix of the volume graph: w.(p).(q) = bytes
-   exchanged between p and q in either direction, diagonal zeroed
-   (local volume has no distance cost).  Out-of-range endpoints (a
+(* Does the volume entry (p, q) cost anything among [n] processes?
+   Local volume has no distance cost, and out-of-range endpoints (a
    graph wider than the topology) are ignored. *)
-let weight_matrix n vol =
-  let w = Array.make_matrix n n 0 in
+let priced n p q = p <> q && p >= 0 && p < n && q >= 0 && q < n
+
+(* The volume graph as adjacency lists: adj.(p) holds (q, bytes) once
+   per priced volume entry between p and q, in either direction.
+   Entries are not merged per pair: every consumer sums them, and
+   integer sums do not depend on grouping. *)
+let adjacency n vol =
+  let adj = Array.make n [] in
   List.iter
     (fun ((p, q), b) ->
-      if p <> q && p >= 0 && p < n && q >= 0 && q < n then begin
-        w.(p).(q) <- w.(p).(q) + b;
-        w.(q).(p) <- w.(q).(p) + b
+      if priced n p q then begin
+        adj.(p) <- (q, b) :: adj.(p);
+        adj.(q) <- (p, b) :: adj.(q)
       end)
     vol;
-  w
+  adj
 
-let cost_w dist w perm =
+(* Hop-bytes summed over the priced volume entries themselves.  An
+   entry (q, p) with q > p costs dist (perm q) (perm p): symmetry makes
+   that the (p, q) term. *)
+let edge_cost dist vol perm =
   let n = Array.length perm in
-  let acc = ref 0 in
-  for p = 0 to n - 1 do
-    for q = p + 1 to n - 1 do
-      if w.(p).(q) <> 0 then acc := !acc + (w.(p).(q) * dist.(perm.(p)).(perm.(q)))
-    done
-  done;
-  !acc
+  List.fold_left
+    (fun acc ((p, q), b) ->
+      if priced n p q then acc + (b * dist perm.(p) perm.(q)) else acc)
+    0 vol
 
-let hop_bytes topo vol perm =
-  let dist = dist_table topo in
-  cost_w dist (weight_matrix (Array.length perm) vol) perm
+let hop_bytes topo vol perm = edge_cost (topo_dist topo) vol perm
 
 (* ------------------------------------------------------------------ *)
 (* Greedy growing                                                      *)
@@ -99,12 +99,15 @@ let hop_bytes topo vol perm =
    repeatedly place the unplaced process with the largest volume to
    already-placed ones on the free node minimizing its partial
    hop-bytes.  Every argmax/argmin scan keeps the first (lowest-index)
-   extremum, so the result is deterministic. *)
-let grow dist w n =
+   extremum, so the result is deterministic.  The connectivity to the
+   placed region is kept up to date edge by edge as processes land, so
+   a step costs O(n) plus O(n * degree) for the node scan. *)
+let grow dist adj n =
   let perm = Array.make n (-1) in
   let placed = Array.make n false (* process placed? *) in
   let used = Array.make n false (* node occupied? *) in
-  let strength = Array.map (Array.fold_left ( + ) 0) w in
+  let conn = Array.make n 0 (* volume to the placed region *) in
+  let strength = Array.map (List.fold_left (fun acc (_, b) -> acc + b) 0) adj in
   let first_proc =
     let best = ref 0 in
     for p = 1 to n - 1 do
@@ -115,66 +118,82 @@ let grow dist w n =
   let central =
     let best = ref 0 and best_d = ref max_int in
     for node = 0 to n - 1 do
-      let d = Array.fold_left ( + ) 0 dist.(node) in
-      if d < !best_d then begin
+      let d = ref 0 in
+      for dst = 0 to n - 1 do
+        d := !d + dist node dst
+      done;
+      if !d < !best_d then begin
         best := node;
-        best_d := d
+        best_d := !d
       end
     done;
     !best
   in
-  perm.(first_proc) <- central;
-  placed.(first_proc) <- true;
-  used.(central) <- true;
+  let place p node =
+    perm.(p) <- node;
+    placed.(p) <- true;
+    used.(node) <- true;
+    List.iter (fun (q, b) -> conn.(q) <- conn.(q) + b) adj.(p)
+  in
+  place first_proc central;
   for _ = 2 to n do
-    (* connectivity of each unplaced process to the placed region *)
     let next = ref (-1) and next_conn = ref (-1) in
     for p = 0 to n - 1 do
-      if not placed.(p) then begin
-        let conn = ref 0 in
-        for q = 0 to n - 1 do
-          if placed.(q) then conn := !conn + w.(p).(q)
-        done;
-        if !conn > !next_conn then begin
-          next := p;
-          next_conn := !conn
-        end
+      if (not placed.(p)) && conn.(p) > !next_conn then begin
+        next := p;
+        next_conn := conn.(p)
       end
     done;
     let p = !next in
+    let partners = List.filter (fun (q, _) -> placed.(q)) adj.(p) in
     let best_node = ref (-1) and best_cost = ref max_int in
     for node = 0 to n - 1 do
       if not used.(node) then begin
-        let c = ref 0 in
-        for q = 0 to n - 1 do
-          if placed.(q) && w.(p).(q) <> 0 then
-            c := !c + (w.(p).(q) * dist.(node).(perm.(q)))
-        done;
-        if !c < !best_cost then begin
+        let c =
+          List.fold_left (fun acc (q, b) -> acc + (b * dist node perm.(q))) 0 partners
+        in
+        if c < !best_cost then begin
           best_node := node;
-          best_cost := !c
+          best_cost := c
         end
       end
     done;
-    perm.(p) <- !best_node;
-    placed.(p) <- true;
-    used.(!best_node) <- true
+    place p !best_node
   done;
   perm
 
-let greedy topo vol =
-  let n = Machine.Topology.size topo in
-  let dist = dist_table topo in
-  let w = weight_matrix n vol in
-  let grown = grow dist w n in
+(* [dist] is a function so [greedy] can read the topology directly and
+   [search] its own table.  Growing is a heuristic: never hand back
+   something worse than leaving the processes where they are. *)
+let greedy_with dist n vol =
+  let grown = grow dist (adjacency n vol) n in
   let id = identity n in
-  (* growing is a heuristic: never hand back something worse than
-     leaving the processes where they are *)
-  if cost_w dist w grown <= cost_w dist w id then grown else id
+  if edge_cost dist vol grown <= edge_cost dist vol id then grown else id
+
+let greedy topo vol = greedy_with (topo_dist topo) (Machine.Topology.size topo) vol
 
 (* ------------------------------------------------------------------ *)
 (* Local search                                                        *)
 (* ------------------------------------------------------------------ *)
+
+(* The swap search reads every distance and pair weight many times
+   over, so it tabulates both once, densely, for all its restarts:
+   dist.(src).(dst) hops, and w.(p).(q) = priced bytes exchanged
+   between p and q in either direction. *)
+let dist_table topo =
+  let n = Machine.Topology.size topo in
+  Array.init n (fun src -> Array.init n (fun dst -> topo_dist topo src dst))
+
+let weight_matrix n vol =
+  let w = Array.make_matrix n n 0 in
+  List.iter
+    (fun ((p, q), b) ->
+      if priced n p q then begin
+        w.(p).(q) <- w.(p).(q) + b;
+        w.(q).(p) <- w.(q).(p) + b
+      end)
+    vol;
+  w
 
 (* Cost change of swapping the placements of processes [a] and [b]:
    only their edges to third processes move, and the (a, b) edge keeps
@@ -239,13 +258,14 @@ let search ?pool ?(seed = 0) ?(restarts = default_restarts) topo vol =
   let n = Machine.Topology.size topo in
   let dist = dist_table topo in
   let w = weight_matrix n vol in
+  let lookup src dst = dist.(src).(dst) in
   let attempt r =
     let start =
-      if r = 0 then greedy topo vol
+      if r = 0 then greedy_with lookup n vol
       else random_perm (Machine.Fault.Rng.make (seed + r)) n
     in
     let p = climb dist w start in
-    (cost_w dist w p, p)
+    (edge_cost lookup vol p, p)
   in
   let indices = List.init (restarts + 1) Fun.id in
   let attempts =

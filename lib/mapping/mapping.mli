@@ -20,7 +20,13 @@
     the (cost, permutation) lexicographic minimum — so fanning the
     restarts over a {!Par} pool returns the same mapping as the
     sequential search, and the same seed is byte-identical across
-    runs. *)
+    runs.
+
+    Costs below are in [n], the topology size, and [E], the number of
+    entries in the volume graph.  Pricing and construction touch only
+    the entries that carry traffic; a distance is one
+    {!Machine.Topology.distance} call (O(dimensions) on grids, O(levels)
+    on fat trees, O(1) on dragonflies). *)
 
 type t = int array
 (** A placement: process [p] lives on physical rank [t.(p)].  Always a
@@ -48,17 +54,23 @@ val kind_of_string : string -> kind option
 (** Inverse of {!kind_to_string} (also accepts ["identity"]). *)
 
 val identity : int -> t
+(** O(n). *)
 
 val is_valid : t -> bool
-(** Is this a permutation of [0 .. n-1]? *)
+(** Is this a permutation of [0 .. n-1]?  O(n). *)
 
 val hop_bytes : Machine.Topology.t -> Machine.Volgraph.t -> t -> int
 (** The objective: summed [volume * hops] over all pairs under the
-    placement.  Local volume ([p = q]) costs nothing. *)
+    placement.  Local volume ([p = q]) costs nothing, and entries with
+    an endpoint outside the placement are ignored.  O(E) distances, no
+    tables. *)
 
 val greedy : Machine.Topology.t -> Machine.Volgraph.t -> t
 (** The growing construction.  Never returns a placement costing more
-    than {!identity}. *)
+    than {!identity}.  O(n{^2} + n·E) distances and O(n + E) memory:
+    the central start node scans all pairs, then each of the [n]
+    placements scans the free nodes against the process's placed
+    partners. *)
 
 val search :
   ?pool:Par.Pool.t ->
@@ -70,13 +82,15 @@ val search :
 (** Hill climbing from {!greedy} plus [restarts] climbs from seeded
     random permutations; the best local optimum wins.  Never returns a
     placement costing more than {!greedy}.  [pool] fans the restarts
-    out without changing the result. *)
+    out without changing the result.  Tabulates the n{^2} distances
+    and the dense n{^2} weight matrix once for all restarts; each
+    climb then costs O(n{^3}) per improving swap, which dominates. *)
 
 val compute : ?pool:Par.Pool.t -> spec -> Machine.Topology.t -> Machine.Volgraph.t -> t
 (** Dispatch on [spec.kind]. *)
 
 val apply : t -> Machine.Message.t list -> Machine.Message.t list
 (** Remap message endpoints through the placement (endpoints outside
-    the permutation's range pass through unchanged). *)
+    the permutation's range pass through unchanged).  O(messages). *)
 
 val pp : Format.formatter -> t -> unit

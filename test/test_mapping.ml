@@ -1,7 +1,9 @@
 (* Tests for the process-mapping subsystem: the Volgraph accumulator,
    the sparse-QAP search invariants (validity, cost ordering,
    seed determinism, pool indifference), a hand-computed 2x2-grid
-   golden, and the zero-cost guarantee of the [?mapping] hooks. *)
+   golden, a differential oracle against the dense-table kernels the
+   sparse ones replaced, a digest pin of the served mapping block, and
+   the zero-cost guarantee of the [?mapping] hooks. *)
 
 (* ------------------------------------------------------------------ *)
 (* Volgraph                                                            *)
@@ -149,6 +151,306 @@ let prop_apply_preserves_traffic =
            msgs mapped)
 
 (* ------------------------------------------------------------------ *)
+(* Differential oracle: the dense-table kernels                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The placement kernels as they were before they went sparse: full
+   n x n distance and weight tables, O(n^3) growing, hop-bytes over the
+   upper triangle.  Slow and obviously faithful to the objective, they
+   are the reference the edge-list kernels must match permutation for
+   permutation and byte for byte. *)
+module Dense = struct
+  let dist_table topo =
+    let n = Machine.Topology.size topo in
+    Array.init n (fun src ->
+        Array.init n (fun dst -> Machine.Topology.distance topo ~src ~dst))
+
+  let weight_matrix n vol =
+    let w = Array.make_matrix n n 0 in
+    List.iter
+      (fun ((p, q), b) ->
+        if p <> q && p >= 0 && p < n && q >= 0 && q < n then begin
+          w.(p).(q) <- w.(p).(q) + b;
+          w.(q).(p) <- w.(q).(p) + b
+        end)
+      vol;
+    w
+
+  let cost_w dist w perm =
+    let n = Array.length perm in
+    let acc = ref 0 in
+    for p = 0 to n - 1 do
+      for q = p + 1 to n - 1 do
+        if w.(p).(q) <> 0 then
+          acc := !acc + (w.(p).(q) * dist.(perm.(p)).(perm.(q)))
+      done
+    done;
+    !acc
+
+  let hop_bytes topo vol perm =
+    cost_w (dist_table topo) (weight_matrix (Array.length perm) vol) perm
+
+  let grow dist w n =
+    let perm = Array.make n (-1) in
+    let placed = Array.make n false in
+    let used = Array.make n false in
+    let strength = Array.map (Array.fold_left ( + ) 0) w in
+    let first_proc =
+      let best = ref 0 in
+      for p = 1 to n - 1 do
+        if strength.(p) > strength.(!best) then best := p
+      done;
+      !best
+    in
+    let central =
+      let best = ref 0 and best_d = ref max_int in
+      for node = 0 to n - 1 do
+        let d = Array.fold_left ( + ) 0 dist.(node) in
+        if d < !best_d then begin
+          best := node;
+          best_d := d
+        end
+      done;
+      !best
+    in
+    perm.(first_proc) <- central;
+    placed.(first_proc) <- true;
+    used.(central) <- true;
+    for _ = 2 to n do
+      let next = ref (-1) and next_conn = ref (-1) in
+      for p = 0 to n - 1 do
+        if not placed.(p) then begin
+          let conn = ref 0 in
+          for q = 0 to n - 1 do
+            if placed.(q) then conn := !conn + w.(p).(q)
+          done;
+          if !conn > !next_conn then begin
+            next := p;
+            next_conn := !conn
+          end
+        end
+      done;
+      let p = !next in
+      let best_node = ref (-1) and best_cost = ref max_int in
+      for node = 0 to n - 1 do
+        if not used.(node) then begin
+          let c = ref 0 in
+          for q = 0 to n - 1 do
+            if placed.(q) && w.(p).(q) <> 0 then
+              c := !c + (w.(p).(q) * dist.(node).(perm.(q)))
+          done;
+          if !c < !best_cost then begin
+            best_node := node;
+            best_cost := !c
+          end
+        end
+      done;
+      perm.(p) <- !best_node;
+      placed.(p) <- true;
+      used.(!best_node) <- true
+    done;
+    perm
+
+  let greedy topo vol =
+    let n = Machine.Topology.size topo in
+    let dist = dist_table topo in
+    let w = weight_matrix n vol in
+    let grown = grow dist w n in
+    let id = Mapping.identity n in
+    if cost_w dist w grown <= cost_w dist w id then grown else id
+
+  let swap_delta dist w perm a b =
+    let n = Array.length perm in
+    let pa = perm.(a) and pb = perm.(b) in
+    let d = ref 0 in
+    for c = 0 to n - 1 do
+      if c <> a && c <> b then begin
+        let pc = perm.(c) in
+        let wd = w.(a).(c) - w.(b).(c) in
+        if wd <> 0 then d := !d + (wd * (dist.(pb).(pc) - dist.(pa).(pc)))
+      end
+    done;
+    !d
+
+  let climb dist w perm =
+    let n = Array.length perm in
+    let improved = ref true in
+    while !improved do
+      improved := false;
+      let best_a = ref 0 and best_b = ref 0 and best_d = ref 0 in
+      for a = 0 to n - 1 do
+        for b = a + 1 to n - 1 do
+          let d = swap_delta dist w perm a b in
+          if d < !best_d then begin
+            best_a := a;
+            best_b := b;
+            best_d := d
+          end
+        done
+      done;
+      if !best_d < 0 then begin
+        let tmp = perm.(!best_a) in
+        perm.(!best_a) <- perm.(!best_b);
+        perm.(!best_b) <- tmp;
+        improved := true
+      end
+    done;
+    perm
+
+  let random_perm rng n =
+    let perm = Mapping.identity n in
+    for i = n - 1 downto 1 do
+      let j = Machine.Fault.Rng.int rng (i + 1) in
+      let tmp = perm.(i) in
+      perm.(i) <- perm.(j);
+      perm.(j) <- tmp
+    done;
+    perm
+
+  let better (c1, p1) (c2, p2) = c1 < c2 || (c1 = c2 && compare p1 p2 < 0)
+
+  let search ~seed ~restarts topo vol =
+    let n = Machine.Topology.size topo in
+    let dist = dist_table topo in
+    let w = weight_matrix n vol in
+    let attempt r =
+      let start =
+        if r = 0 then greedy topo vol
+        else random_perm (Machine.Fault.Rng.make (seed + r)) n
+      in
+      let p = climb dist w start in
+      (cost_w dist w p, p)
+    in
+    match List.map attempt (List.init (restarts + 1) Fun.id) with
+    | [] -> Mapping.identity n
+    | first :: rest ->
+      snd (List.fold_left (fun acc x -> if better x acc then x else acc) first rest)
+end
+
+let topologies = Array.of_list Topo_matrix.all
+
+(* Sparse and dense agree on one instance: the same greedy and searched
+   permutations, and the same hop-bytes for those, for identity, and
+   for a fixed shuffle.  [None] when they agree, a description of the
+   first disagreement otherwise. *)
+let disagreement (topo_i, seed, vol) =
+  let name, topo = topologies.(topo_i) in
+  let n = Machine.Topology.size topo in
+  let g = Mapping.greedy topo vol and g' = Dense.greedy topo vol in
+  let s = Mapping.search ~seed ~restarts:2 topo vol
+  and s' = Dense.search ~seed ~restarts:2 topo vol in
+  let shuffled = Dense.random_perm (Machine.Fault.Rng.make seed) n in
+  let perms =
+    [ ("identity", Mapping.identity n); ("greedy", g'); ("search", s');
+      ("shuffle", shuffled) ]
+  in
+  let show p = Format.asprintf "%a" Mapping.pp p in
+  if g <> g' then Some (Printf.sprintf "%s: greedy %s, dense %s" name (show g) (show g'))
+  else if s <> s' then
+    Some (Printf.sprintf "%s: search %s, dense %s" name (show s) (show s'))
+  else
+    List.find_map
+      (fun (label, p) ->
+        let hb = Mapping.hop_bytes topo vol p and hb' = Dense.hop_bytes topo vol p in
+        if hb = hb' then None
+        else Some (Printf.sprintf "%s: hop_bytes of %s %d, dense %d" name label hb hb'))
+      perms
+
+(* Random volume graphs over the shared topology instances.  The
+   generator leans on the cases an edge-list rewrite gets wrong: empty
+   graphs, self-pairs, endpoints outside [0, n) on either side, and
+   weights from a tiny set so equal-weight ties are the norm. *)
+let oracle_gen =
+  QCheck.Gen.(
+    int_range 0 (Array.length topologies - 1) >>= fun topo_i ->
+    let n = Machine.Topology.size (snd topologies.(topo_i)) in
+    let endpoint =
+      frequency [ (8, int_range 0 (n - 1)); (1, int_range n (n + 4)); (1, int_range (-3) (-1)) ]
+    in
+    let entry =
+      endpoint >>= fun p ->
+      frequency [ (5, endpoint); (1, return p) ] >>= fun q ->
+      map (fun b -> ((p, q), b))
+        (frequency [ (4, oneofl [ 1; 64 ]); (1, int_range 0 1000) ])
+    in
+    map3
+      (fun topo_i seed vol -> (topo_i, seed, vol))
+      (return topo_i) (int_range 0 1000)
+      (frequency [ (1, return []); (5, list_size (int_range 1 24) entry) ]))
+
+let oracle_arb =
+  QCheck.make
+    ~print:(fun (topo_i, seed, vol) ->
+      Printf.sprintf "%s seed=%d vol=[%s]" (fst topologies.(topo_i)) seed
+        (String.concat "; "
+           (List.map (fun ((p, q), b) -> Printf.sprintf "(%d,%d)=%d" p q b) vol)))
+    oracle_gen
+
+let prop_sparse_matches_dense =
+  QCheck.Test.make ~count:300 ~name:"sparse kernels = dense oracle" oracle_arb
+    (fun case ->
+      match disagreement case with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
+
+(* The four shapes the generator leans on, pinned on every instance so
+   they run whatever the random draw. *)
+let test_oracle_edge_cases () =
+  Array.iteri
+    (fun topo_i (_, topo) ->
+      let n = Machine.Topology.size topo in
+      List.iter
+        (fun vol ->
+          match disagreement (topo_i, 5, vol) with
+          | None -> ()
+          | Some msg -> Alcotest.fail msg)
+        [
+          [];
+          [ ((0, 0), 100); ((3, 3), 7) ];
+          [ ((0, n), 50); ((-1, 2), 50); ((n + 2, n + 2), 9); ((1, 2), 5) ];
+          [ ((0, 1), 64); ((2, 3), 64); ((1, 0), 64); ((4, 5), 64); ((n - 1, 0), 64) ];
+          [ ((0, 1), 0); ((1, 2), 0) ];
+        ])
+    topologies
+
+(* ------------------------------------------------------------------ *)
+(* Golden: the served mapping block                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* served_mapping.golden holds the digest of every rendered answer
+   with a mapping block, taken before the kernels went sparse; the
+   rendered hop-bytes and mapped prices must not move a byte. *)
+let test_served_mapping_golden () =
+  let lines =
+    In_channel.with_open_text
+      (Filename.concat (Filename.dirname Sys.executable_name) "served_mapping.golden")
+      In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  Alcotest.(check int) "11 workloads x m 1-3 x 2 placements" 66 (List.length lines);
+  List.iter
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [ name; m; label; digest ] ->
+        let spec =
+          match label with
+          | "greedy" -> Mapping.spec Mapping.Greedy
+          | "search7" -> Mapping.spec ~seed:7 Mapping.Search
+          | _ -> Alcotest.failf "unknown placement %S" label
+        in
+        let body =
+          Serve.Answer.render ~mapping:spec ~m:(int_of_string m)
+            (Resopt.Workloads.find name)
+        in
+        Alcotest.(check string)
+          (Printf.sprintf "%s m=%s %s" name m label)
+          digest
+          (Digest.to_hex (Digest.string body))
+      | _ -> Alcotest.failf "malformed golden line %S" line)
+    lines
+
+(* ------------------------------------------------------------------ *)
 (* Zero-cost and no-harm guarantees of the ?mapping hooks              *)
 (* ------------------------------------------------------------------ *)
 
@@ -253,7 +555,18 @@ let () =
           Alcotest.test_case "netsim coalesce agrees" `Quick
             test_volgraph_coalesce_agrees;
         ] );
-      ("golden", [ Alcotest.test_case "2x2 grid optimum" `Quick test_grid_golden ]);
+      ( "golden",
+        [
+          Alcotest.test_case "2x2 grid optimum" `Quick test_grid_golden;
+          Alcotest.test_case "served mapping block digests" `Quick
+            test_served_mapping_golden;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "edge cases on every topology" `Quick
+            test_oracle_edge_cases;
+          QCheck_alcotest.to_alcotest prop_sparse_matches_dense;
+        ] );
       ( "invariants",
         [
           QCheck_alcotest.to_alcotest prop_search_valid;

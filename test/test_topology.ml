@@ -5,7 +5,7 @@
    telemetry no-observer-effect, mapping search <= greedy <= identity,
    same-seed and jobs-1-vs-4 determinism — instantiated against every
    topology family.  Adding a topology means adding ONE line to
-   [matrix] below; no new test logic.  (Optionally also pin its
+   [Topo_matrix.all]; no new test logic.  (Optionally also pin its
    event-simulated cycle count in [cycle_goldens] — instances without
    a pin skip that check.)
 
@@ -19,21 +19,8 @@ let prop ?(count = 200) name arb f =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb f)
 
 (* ------------------------------------------------------------------ *)
-(* The matrix                                                          *)
+(* The matrix: Topo_matrix.all                                         *)
 (* ------------------------------------------------------------------ *)
-
-let matrix =
-  [
-    ("mesh4x8", Topology.mesh2d ~p:4 ~q:8);
-    ("torus8x8", Topology.make ~torus:true [| 8; 8 |]);
-    ("torus4x4x2", Topology.torus3d ~p:4 ~q:4 ~r:2);
-    ("fattree2x4", Topology.fat_tree ~levels:2 ~arity:4);
-    ("fattree3x2", Topology.fat_tree ~levels:3 ~arity:2);
-    ("dragonfly-minimal", Topology.dragonfly ~groups:4 ~routers:4 ~hosts:2 ());
-    ( "dragonfly-adaptive",
-      Topology.dragonfly ~routing:(Topology.Valiant 7) ~groups:4 ~routers:4
-        ~hosts:2 () );
-  ]
 
 (* Event-simulated cycle counts for the fixed [msgs_for] traffic below,
    fault-free, default parameters.  A new matrix instance without a pin
@@ -145,6 +132,21 @@ let prop_distance (name, topo) =
       && d <= Topology.diameter topo
       && (if src = dst then d = 0 else d > 0)
       && d <= List.length (Topology.route topo ~src ~dst))
+
+(* Exhaustive where [prop_distance] samples: the edge-list hop-bytes
+   of the mapping layer prices an entry (q, p) as dist (perm q)
+   (perm p), which is only right if no pair anywhere is asymmetric. *)
+let test_distance_symmetric topo () =
+  let n = Topology.size topo in
+  for src = 0 to n - 1 do
+    for dst = 0 to n - 1 do
+      let d = Topology.distance topo ~src ~dst in
+      let back = Topology.distance topo ~src:dst ~dst:src in
+      if d <> back then
+        Alcotest.failf "distance %d->%d = %d but %d->%d = %d" src dst d dst src
+          back
+    done
+  done
 
 let prop_detour (name, topo) =
   (* sever the k-th link of the minimal route (both directions) plus a
@@ -286,6 +288,8 @@ let shared_suite (name, topo) =
       Alcotest.test_case "graph well-formed" `Quick (test_graph_well_formed topo);
       prop_route_valid (name, topo);
       prop_distance (name, topo);
+      Alcotest.test_case "distance symmetric on all pairs" `Quick
+        (test_distance_symmetric topo);
       prop_detour (name, topo);
       Alcotest.test_case "delivery conservation" `Quick (test_conservation topo);
       Alcotest.test_case "no observer effect" `Quick (test_no_observer topo);
@@ -404,9 +408,59 @@ let test_dragonfly_adaptive () =
   done;
   Alcotest.(check bool) "some pair detours" true !detoured
 
+(* Grid distance against the coordinate formula, on every pair: the
+   per-dimension |a - b|, or the shorter way round on a torus. *)
+let grid_instances =
+  [
+    ("line 7", Topology.line 7);
+    ("ring 7", Topology.ring 7);
+    ("ring 8", Topology.ring 8);
+    ("mesh2d 3x5", Topology.mesh2d ~p:3 ~q:5);
+    ("mesh3d 2x3x4", Topology.mesh3d ~p:2 ~q:3 ~r:4);
+    ("torus3d 3x4x2", Topology.torus3d ~p:3 ~q:4 ~r:2);
+  ]
+
+let test_grid_distance_formula () =
+  List.iter
+    (fun (name, t) ->
+      let n = Topology.size t in
+      for src = 0 to n - 1 do
+        for dst = 0 to n - 1 do
+          let a = Topology.coords_of t src and b = Topology.coords_of t dst in
+          let expect = ref 0 in
+          Array.iteri
+            (fun i x ->
+              let d = abs (x - b.(i)) in
+              let k = Topology.dim t i in
+              expect := !expect + if Topology.is_torus t then min d (k - d) else d)
+            a;
+          let got = Topology.distance t ~src ~dst in
+          if got <> !expect then
+            Alcotest.failf "%s: distance %d->%d = %d, formula says %d" name src
+              dst got !expect
+        done
+      done)
+    grid_instances
+
+let test_grid_distance_range () =
+  List.iter
+    (fun (name, t) ->
+      let n = Topology.size t in
+      List.iter
+        (fun (src, dst) ->
+          match Topology.distance t ~src ~dst with
+          | d -> Alcotest.failf "%s: distance %d->%d = %d, expected a raise" name src dst d
+          | exception Invalid_argument _ -> ())
+        [ (-1, 0); (0, -1); (n, 0); (0, n); (n + 3, n + 3) ])
+    grid_instances
+
 let golden_suite =
   ( "golden",
     [
+      Alcotest.test_case "grid distance = coordinate formula" `Quick
+        test_grid_distance_formula;
+      Alcotest.test_case "grid distance raises out of range" `Quick
+        test_grid_distance_range;
       Alcotest.test_case "fattree 2:2 routes + distance table" `Quick
         test_fattree_routes;
       Alcotest.test_case "fattree 3:4 shape" `Quick test_fattree_large;
@@ -515,4 +569,4 @@ let grammar_suite =
 
 let () =
   Alcotest.run "topology"
-    (List.map shared_suite matrix @ [ golden_suite; grammar_suite ])
+    (List.map shared_suite Topo_matrix.all @ [ golden_suite; grammar_suite ])
