@@ -1,5 +1,15 @@
 (** Running a virtual-grid communication under a layout on a machine
-    model: the workhorse behind Table 2 and Figure 8. *)
+    model: the workhorse behind Table 2 and Figure 8.
+
+    Each phase's traffic is built directly as counts of physical
+    (src, dst) rank pairs — no message list — and priced by
+    {!Machine.Netsim.price}, so identical messages are priced once,
+    weighted by their multiplicity.  Cost per phase: O(virtual points)
+    to fold — each point replays the earlier phases' moves and scans
+    its source rank's few distinct destinations — then O(distinct
+    pairs × route length) to price.  Every stat equals the per-message
+    pricing of the same traffic.  Under {!Obs.Telemetry.enabled}, each
+    phase's record lists its messages in (src, dst) order. *)
 
 open Linalg
 

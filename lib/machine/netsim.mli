@@ -44,6 +44,35 @@ type stats = {
           surviving route.  0 without faults. *)
 }
 
+type groups = (src:int -> dst:int -> bytes:int -> count:int -> unit) -> unit
+(** Traffic as distinct messages with multiplicities: [groups f] calls
+    [f ~src ~dst ~bytes ~count] once per group, meaning [count]
+    identical messages of [bytes] bytes from [src] to [dst].  Local
+    groups ([src = dst]) are allowed; they carry no price. *)
+
+val price :
+  ?faults:Fault.t -> ?label:string -> Topology.t -> params -> groups -> stats
+(** The one pricing core.  Each group is routed once and its link
+    loads, send/receive counts, bytes, hops and [unreachable] are
+    weighted by its [count], so identical messages are priced once and
+    the stats equal those of [count] separate messages exactly.  Cost:
+    O(groups × route length), plus the route search under severed
+    links.  Groups are never merged here: coalescing is the caller's
+    choice (see {!run}).
+
+    When {!Obs.enabled}, each call increments the [netsim.runs] /
+    [netsim.messages] counters and feeds the [netsim.time] and
+    [netsim.max_link_load] histograms, so a sweep leaves a
+    machine-readable record of every pricing it performed;
+    undeliverable messages also bump [fault.injected].
+
+    When {!Obs.Telemetry.enabled}, each call additionally records one
+    {!Obs.Telemetry.run} (sim ["netsim"], [total_cycles = 0] — the
+    model is closed-form, so link loads are carried bytes and there
+    are no latency series), tagged with [label].  Its messages are
+    listed group by group in the order [groups] yields them, each
+    group repeated [count] times. *)
+
 val run :
   ?coalesce:bool ->
   ?faults:Fault.t ->
@@ -52,25 +81,21 @@ val run :
   params ->
   Message.t list ->
   stats
-(** [coalesce] (default [true]) merges same-pair messages.  Pass
-    [false] to model the runtime's generic path for a {e general}
-    affine communication: the pattern is too irregular to vectorize,
-    so every element pays its own start-up — the very overhead the
-    paper's decomposition removes.
+(** {!price} on a message list.  [coalesce] (default [true]) merges
+    same-pair messages into one group of summed bytes.  Pass [false]
+    to model the runtime's generic path for a {e general} affine
+    communication: the pattern is too irregular to vectorize, so every
+    element pays its own start-up — the very overhead the paper's
+    decomposition removes.  Identical messages are then grouped by
+    (src, dst, bytes) and priced once, with their multiplicity.
+
+    Cost: one hash pass over the list, then {!price} over the distinct
+    pairs (coalesced) or distinct messages (uncoalesced).  {!price}
+    sees the local messages first, then the groups in order of first
+    appearance.
 
     [faults] (default {!Fault.none}, zero-cost) switches on the
-    degraded-capacity model described above.
-
-    When {!Obs.enabled}, each run increments the [netsim.runs] /
-    [netsim.messages] counters and feeds the [netsim.time] and
-    [netsim.max_link_load] histograms, so a sweep leaves a
-    machine-readable record of every pricing it performed;
-    undeliverable messages also bump [fault.injected].
-
-    When {!Obs.Telemetry.enabled}, each run additionally records one
-    {!Obs.Telemetry.run} (sim ["netsim"], [total_cycles = 0] — the
-    model is closed-form, so link loads are carried bytes and there
-    are no latency series), tagged with [label]. *)
+    degraded-capacity model described above. *)
 
 val coalesce_messages : Message.t list -> Message.t list
 (** Merge messages sharing (src, dst) into one with summed bytes —
@@ -78,8 +103,9 @@ val coalesce_messages : Message.t list -> Message.t list
 
 val link_loads :
   ?faults:Fault.t -> Topology.t -> Message.t list -> ((int * int) * int) list
-(** Bytes per directed link, for inspection — the same accumulation
-    {!run} prices, fault inflation included; undeliverable messages
-    contribute nothing. *)
+(** Bytes per directed link, for inspection — the link loads the
+    {!price} core accumulates for the uncoalesced message list, fault
+    inflation included; undeliverable messages contribute nothing.
+    Records no counters and no telemetry. *)
 
 val pp_stats : Format.formatter -> stats -> unit

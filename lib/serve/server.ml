@@ -251,7 +251,9 @@ let mirror_counters t =
    solved, for the stats answer.  Solver thread only; memoized per
    (workload, m) — the bound is fault- and placement-independent here
    (reference machine, fixed embedding), so repeated solves of the
-   same pair feed the bounds.* counters exactly once. *)
+   same pair feed the bounds.* counters exactly once.  A bound that
+   raises counts in [bounds.failed] (the stats answer shows it) rather
+   than vanishing; the served answer itself is unaffected. *)
 let eff_memo : (string * int, unit) Hashtbl.t = Hashtbl.create 16
 
 let observe_bounds (req : Wire.request) =
@@ -261,12 +263,11 @@ let observe_bounds (req : Wire.request) =
     | exception Not_found -> ()
     | w ->
       Hashtbl.add eff_memo key ();
-      (try
-         ignore
-           (Resopt.Efficiency.of_workload ~m:req.Wire.m
-              (Machine.Models.paragon ()) w
-             : Resopt.Efficiency.t option)
-       with _ -> ())
+      match
+        Resopt.Efficiency.of_workload ~m:req.Wire.m (Machine.Models.paragon ()) w
+      with
+      | (_ : Resopt.Efficiency.t option) -> ()
+      | exception _ -> Obs.incr "bounds.failed"
 
 let render_stats t =
   let requests, ok, errors, shed, timeout, coalesced = read_counters t in
@@ -287,6 +288,7 @@ let render_stats t =
     line "latency_ms_p99=%.3f" p99
   | None -> ());
   line "bounds_computed=%d" (Obs.counter "bounds.computed");
+  line "bounds_failed=%d" (Obs.counter "bounds.failed");
   (match Obs.histogram "bounds.efficiency" with
   | Some h when h.Obs.count > 0 ->
     line "bounds_eff_mean=%.3f" (h.Obs.sum /. float_of_int h.Obs.count);

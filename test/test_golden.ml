@@ -1,10 +1,11 @@
 (* Golden snapshots of the paper's worked examples.  These pin the
    numbers the bench harness prints for Table 2 (direct vs decomposed
-   cost of T = L.U on the Paragon model) and the Figure 4-5 broadcast
-   rotation, so a regression anywhere in the linalg -> decomp ->
-   distrib -> machine stack shows up as a changed constant, not as a
-   silently different table.  Each snapshot is also re-checked with
-   the memo cache on: golden values must not depend on caching. *)
+   cost of T = L.U on the Paragon model), Figure 8 (U_k under grouped
+   and standard layouts) and the Figure 4-5 broadcast rotation, so a
+   regression anywhere in the linalg -> decomp -> distrib -> machine
+   stack shows up as a changed constant, not as a silently different
+   table.  Table 2 and Figures 4-5 are also re-checked with the memo
+   cache on: golden values must not depend on caching. *)
 
 open Linalg
 
@@ -101,6 +102,81 @@ let test_fig45_cached () =
       check_fig45 ())
 
 (* ------------------------------------------------------------------ *)
+(* Figure 8: U_k under standard distributions over grouped partition   *)
+(* ------------------------------------------------------------------ *)
+
+(* The rows bench/main.exe fig8 prints: grouped time of U_k on an
+   840x8 virtual grid, then CYCLIC, BLOCK and CYCLIC(8) over grouped. *)
+let fig8_row par k =
+  let vgrid = [| 840; 8 |] in
+  let uk = Mat.of_lists [ [ 1; k ]; [ 0; 1 ] ] in
+  let t scheme =
+    (Distrib.Foldsim.time par ~layout:[| scheme; Distrib.Layout.Block |] ~vgrid
+       ~flow:uk ())
+      .Machine.Netsim.time
+  in
+  let tg = t (Distrib.Layout.Grouped k) in
+  if tg = 0.0 then Printf.sprintf "%2d %12s %14s %14s %14s" k "(all local)" "-" "-" "-"
+  else
+    Printf.sprintf "%2d %12.1f %14.2f %14.2f %14.2f" k tg
+      (t Distrib.Layout.Cyclic /. tg)
+      (t Distrib.Layout.Block /. tg)
+      (t (Distrib.Layout.Cyclic_block 8) /. tg)
+
+let fig8_expected =
+  [
+    ( 8,
+      4,
+      [
+        " 1         23.2          26.33           1.00           6.38";
+        " 2         21.6          24.37           1.56          13.57";
+        " 3         31.6          14.01           1.39          13.87";
+        " 4         20.8          16.71           2.62          27.58";
+        " 5         31.2          14.19           2.08          21.12";
+        " 6         30.8          17.09           2.44          19.62";
+        " 7         30.8          19.83           2.78          20.71";
+        " 8  (all local)              -              -              -";
+      ] );
+    ( 16,
+      4,
+      [
+        " 1         26.4          22.29           1.00           3.74";
+        " 2         33.6          18.74           1.10           5.70";
+        " 3         32.4          18.16           1.46           8.16";
+        " 4         42.0          12.79           1.37           8.03";
+        " 5         31.6          15.84           2.15          13.53";
+        " 6         41.6          11.13           1.88          11.55";
+        " 7         41.6           8.36           2.38          12.88";
+        " 8         41.2           8.40           2.65          13.85";
+      ] );
+    ( 16,
+      8,
+      [
+        " 1         21.6          14.72           1.00           3.02";
+        " 2         28.8          12.44           0.94           4.32";
+        " 3         27.6          11.52           1.19           5.93";
+        " 4         37.2           9.61           1.03           5.45";
+        " 5         26.8          11.69           1.64           8.94";
+        " 6         36.8           9.57           1.35           7.25";
+        " 7         36.8           8.64           1.77           8.01";
+        " 8         36.4           9.51           1.95           8.45";
+      ] );
+  ]
+
+let test_fig8 () =
+  Cache.disable ();
+  List.iter
+    (fun (p, q, rows) ->
+      let par = Machine.Models.paragon ~p ~q () in
+      List.iteri
+        (fun i row ->
+          Alcotest.(check string)
+            (Printf.sprintf "%dx%d mesh, k = %d" p q (i + 1))
+            row (fig8_row par (i + 1)))
+        rows)
+    fig8_expected
+
+(* ------------------------------------------------------------------ *)
 (* The §4.2 exhaustive scan at bound 3                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -126,5 +202,6 @@ let () =
           Alcotest.test_case "rotation" `Quick test_fig45;
           Alcotest.test_case "rotation, cached" `Quick test_fig45_cached;
         ] );
+      ("fig8", [ Alcotest.test_case "grouped times and ratios" `Quick test_fig8 ]);
       ("search", [ Alcotest.test_case "bound 3 histogram" `Quick test_search_bound3 ]);
     ]

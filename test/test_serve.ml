@@ -304,6 +304,24 @@ let test_server_repeat_and_stats () =
     has "bounds_eff_last="
   | r -> Alcotest.fail ("expected stats Answer, got " ^ Wire.status r)
 
+(* A normal request stream bounds every solved (workload, m) pair
+   without a single failure, and the stats answer says so. *)
+let test_server_bounds_failed_zero () =
+  with_server @@ fun t ->
+  let c = must_connect t in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  List.iter
+    (fun (name, m) ->
+      match must_request c (Wire.run ~m name) with
+      | Wire.Answer _ -> ()
+      | r -> Alcotest.fail ("expected Answer, got " ^ Wire.status r))
+    [ ("example1", 2); ("transpose", 2); ("matmul", 1); ("example1", 3) ];
+  match must_request c Wire.stats with
+  | Wire.Answer body ->
+    Alcotest.(check bool) "stats report bounds_failed=0" true
+      (List.mem "bounds_failed=0" (String.split_on_char '\n' body))
+  | r -> Alcotest.fail ("expected stats Answer, got " ^ Wire.status r)
+
 let test_server_deadline_timeout () =
   (* deadline 0 expires immediately — but if the scheduler runs the
      solver to completion before this thread even reaches its wait, the
@@ -516,5 +534,7 @@ let () =
             test_server_drain_refuses_new_work;
           Alcotest.test_case "snapshot restart warm" `Quick
             test_server_snapshot_restart_warm;
+          Alcotest.test_case "stats bounds_failed=0" `Quick
+            test_server_bounds_failed_zero;
         ] );
     ]
