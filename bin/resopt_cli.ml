@@ -11,8 +11,8 @@
 
    The commands that price or simulate communications also take
    --faults SPEC --seed N to run on an imperfect machine, and the
-   ones that repeat linear-algebra solves take --cache [FILE] to
-   memoize them (in memory, or persisted to FILE across invocations).
+   ones that price or validate plans take --cache [FILE] to memoize
+   that work (in memory, or persisted to FILE across invocations).
 *)
 
 open Cmdliner
@@ -61,18 +61,18 @@ let with_obs (trace, stats) f =
     v
   end
 
-(* --cache [FILE]: shared memoization flag.  Bare --cache serves the
-   repeated Hermite/Smith/decomposition solves and plan pricings from
-   in-memory memo tables; --cache FILE additionally loads the tables
-   from FILE before the command and saves them back after, so repeated
-   invocations start warm.  A missing, corrupted or stale FILE starts
+(* --cache [FILE]: shared memoization flag.  Bare --cache serves
+   repeated plan pricings and validations from in-memory memo tables;
+   --cache FILE additionally loads the tables from FILE before the
+   command and saves them back after, so repeated invocations start
+   warm.  A missing, corrupted or stale FILE starts
    cold, never fails.  Without the flag the tables stay off and output
    is byte-identical to a build without the cache subsystem; with it,
    output is byte-identical anyway — only the timing changes. *)
 
 let cache_term =
   let doc =
-    "Memoize repeated linear-algebra solves and plan pricings.  With \
+    "Memoize repeated plan pricings and validations.  With \
      $(docv), also load the memo tables from that file first and save \
      them back afterwards (a missing or corrupted file just starts \
      cold).  Cached output is byte-identical to uncached."
@@ -647,10 +647,9 @@ let search_cmd =
     let doc = "Scan matrices with |entries| <= $(docv)." in
     Arg.(value & opt int 6 & info [ "bound" ] ~docv:"BOUND" ~doc)
   in
-  let run bound jobs cache obs profile =
+  let run bound jobs obs profile =
     with_obs obs @@ fun () ->
     with_profile profile @@ fun () ->
-    with_cache cache @@ fun () ->
     let hist =
       match jobs with
       | None -> Decomp.Search.factor_histogram ~bound ()
@@ -665,7 +664,7 @@ let search_cmd =
   in
   Cmd.v (Cmd.info "search" ~doc)
     Term.(
-      const run $ bound_arg $ jobs_arg $ cache_term $ obs_term $ profile_term)
+      const run $ bound_arg $ jobs_arg $ obs_term $ profile_term)
 
 let profile_cmd =
   let doc =

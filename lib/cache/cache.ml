@@ -1,7 +1,7 @@
-(* Content-addressed memo tables, one LRU shard per domain.  The
-   hot-path contract matches Obs: every entry point first tests
-   [enabled_flag], so a disabled build runs the thunk directly and
-   touches no table (not even the domain-local-storage read). *)
+(* Content-addressed memo tables: one mutex-guarded LRU per table,
+   shared by every domain.  The hot-path contract matches Obs: every
+   entry point first tests [enabled_flag], so a disabled build runs
+   the thunk directly and touches no table and no lock. *)
 
 let enabled_flag = ref false
 let enable () = enabled_flag := true
@@ -19,12 +19,13 @@ let scoped ?enable:want f =
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 
 (* ------------------------------------------------------------------ *)
-(* LRU shard                                                           *)
+(* LRU table                                                           *)
 (* ------------------------------------------------------------------ *)
 
 (* Doubly-linked recency list threaded through the hash table's nodes:
    [first] is the most recently used entry, [last] the next eviction
-   victim.  All operations are O(1). *)
+   victim.  All operations are O(1); every access to the mutable
+   fields holds [mu]. *)
 type 'v node = {
   nkey : string;
   nvalue : 'v;
@@ -32,7 +33,9 @@ type 'v node = {
   mutable next : 'v node option; (* towards [last] *)
 }
 
-type 'v shard = {
+type 'v table = {
+  capacity : int; (* >= 1 *)
+  mu : Mutex.t;
   tbl : (string, 'v node) Hashtbl.t;
   mutable first : 'v node option;
   mutable last : 'v node option;
@@ -41,92 +44,71 @@ type 'v shard = {
   mutable s_evictions : int;
 }
 
-let new_shard () =
-  {
-    tbl = Hashtbl.create 64;
-    first = None;
-    last = None;
-    s_hits = 0;
-    s_misses = 0;
-    s_evictions = 0;
-  }
-
-let unlink sh n =
-  (match n.prev with Some p -> p.next <- n.next | None -> sh.first <- n.next);
-  (match n.next with Some s -> s.prev <- n.prev | None -> sh.last <- n.prev);
+let unlink l n =
+  (match n.prev with Some p -> p.next <- n.next | None -> l.first <- n.next);
+  (match n.next with Some s -> s.prev <- n.prev | None -> l.last <- n.prev);
   n.prev <- None;
   n.next <- None
 
-let push_front sh n =
+let push_front l n =
   n.prev <- None;
-  n.next <- sh.first;
-  (match sh.first with Some f -> f.prev <- Some n | None -> sh.last <- Some n);
-  sh.first <- Some n
+  n.next <- l.first;
+  (match l.first with Some f -> f.prev <- Some n | None -> l.last <- Some n);
+  l.first <- Some n
 
-let touch sh n =
-  if sh.first != Some n then begin
-    unlink sh n;
-    push_front sh n
+let touch l n =
+  if l.first != Some n then begin
+    unlink l n;
+    push_front l n
   end
 
+let locked l f = Mutex.protect l.mu f
+
 (* Insert or refresh [key]; evicts the tail when a fresh key would
-   overflow [capacity].  The caller guarantees capacity >= 1. *)
-let put sh ~capacity key value =
-  match Hashtbl.find_opt sh.tbl key with
+   overflow the capacity. *)
+let put l key value =
+  match Hashtbl.find_opt l.tbl key with
   | Some n ->
     (* same key: the value is a function of the key, keep the old node
-       (values are equal by construction), just refresh recency *)
-    touch sh n
+       (values are equal by construction), just refresh recency.  The
+       later of two domains that missed on the same key lands here. *)
+    touch l n
   | None ->
-    if Hashtbl.length sh.tbl >= capacity then begin
-      (match sh.last with
+    if Hashtbl.length l.tbl >= l.capacity then begin
+      match l.last with
       | Some victim ->
-        unlink sh victim;
-        Hashtbl.remove sh.tbl victim.nkey;
-        sh.s_evictions <- sh.s_evictions + 1;
+        unlink l victim;
+        Hashtbl.remove l.tbl victim.nkey;
+        l.s_evictions <- l.s_evictions + 1;
         Obs.incr "cache.evictions"
-      | None -> ());
+      | None -> ()
     end;
     let n = { nkey = key; nvalue = value; prev = None; next = None } in
-    Hashtbl.replace sh.tbl key n;
-    push_front sh n
-
-let shard_clear sh =
-  Hashtbl.reset sh.tbl;
-  sh.first <- None;
-  sh.last <- None;
-  sh.s_hits <- 0;
-  sh.s_misses <- 0;
-  sh.s_evictions <- 0
+    Hashtbl.replace l.tbl key n;
+    push_front l n
 
 (* entries oldest-first: replaying them through [put] in this order
    rebuilds the same recency order *)
-let entries_oldest_first sh =
+let entries_oldest_first l =
   let rec walk acc = function
     | None -> acc
     | Some n -> walk ((n.nkey, n.nvalue) :: acc) n.next
   in
-  walk [] sh.first
+  walk [] l.first
 
 (* ------------------------------------------------------------------ *)
 (* Registry of tables                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything the module-level operations (clear, stats, save, load,
-   Worker) need from a table, with the value type hidden behind
-   closures.  Tables are created at module initialization on the main
-   domain, but tests create them dynamically too, so the list is
-   mutex-protected; shard access itself needs no lock (per-domain). *)
+(* Everything the module-level operations (clear, stats, save, load)
+   need from a table, with the value type hidden behind closures.
+   Tables are created at module initialization, but tests create them
+   dynamically too, so the list is mutex-protected. *)
 type ops = {
   o_name : string;
   o_schema : string;
-  o_persist : bool;
   o_clear : unit -> unit;
   o_stats : unit -> stats;
-  (* capture support: swap in a fresh shard, returning an [undo] that
-     restores the previous shard and yields the captured one as a
-     merge closure (run later, on the merging domain). *)
-  o_swap_fresh : unit -> unit -> unit -> unit;
   (* persistence: marshalled (key, value) pairs, oldest-first *)
   o_dump : unit -> (string * string) list;
   o_absorb : (string * string) list -> unit;
@@ -135,20 +117,13 @@ type ops = {
 let registry : ops list ref = ref []
 let registry_mutex = Mutex.create ()
 
-let registered () =
-  Mutex.lock registry_mutex;
-  let l = !registry in
-  Mutex.unlock registry_mutex;
-  List.rev l
+let registered () = List.rev (Mutex.protect registry_mutex (fun () -> !registry))
 
 let register o =
-  Mutex.lock registry_mutex;
-  if List.exists (fun r -> r.o_name = o.o_name) !registry then begin
-    Mutex.unlock registry_mutex;
-    invalid_arg ("Cache.Memo.create: duplicate table name " ^ o.o_name)
-  end;
-  registry := o :: !registry;
-  Mutex.unlock registry_mutex
+  Mutex.protect registry_mutex @@ fun () ->
+  if List.exists (fun r -> r.o_name = o.o_name) !registry then
+    invalid_arg ("Cache.Memo.create: duplicate table name " ^ o.o_name);
+  registry := o :: !registry
 
 let clear () = List.iter (fun o -> o.o_clear ()) (registered ())
 
@@ -170,132 +145,101 @@ let stats () =
 (* ------------------------------------------------------------------ *)
 
 module Memo = struct
-  type 'a t = {
-    name : string;
-    capacity : int;
-    shard_key : 'a shard Domain.DLS.key;
-  }
+  type 'a t = 'a table
 
-  let shard t = Domain.DLS.get t.shard_key
+  let stats l =
+    locked l @@ fun () ->
+    {
+      hits = l.s_hits;
+      misses = l.s_misses;
+      evictions = l.s_evictions;
+      entries = Hashtbl.length l.tbl;
+    }
 
-  let create ?(capacity = 1024) ?(persist = true) ~name ~schema () =
-    let capacity = max 1 capacity in
-    let shard_key = Domain.DLS.new_key new_shard in
-    let t = { name; capacity; shard_key } in
-    let o_swap_fresh () =
-      let prev = shard t in
-      Domain.DLS.set shard_key (new_shard ());
-      fun () ->
-        let captured = shard t in
-        Domain.DLS.set shard_key prev;
-        fun () ->
-          (* merge closure, run on the merging domain: replay through
-             the normal insertion path so capacity holds there too *)
-          let dst = shard t in
-          List.iter
-            (fun (k, v) -> put dst ~capacity k v)
-            (entries_oldest_first captured);
-          dst.s_hits <- dst.s_hits + captured.s_hits;
-          dst.s_misses <- dst.s_misses + captured.s_misses;
-          dst.s_evictions <- dst.s_evictions + captured.s_evictions
+  let create ?(capacity = 1024) ~name ~schema () =
+    let l =
+      {
+        capacity = max 1 capacity;
+        mu = Mutex.create ();
+        tbl = Hashtbl.create 64;
+        first = None;
+        last = None;
+        s_hits = 0;
+        s_misses = 0;
+        s_evictions = 0;
+      }
     in
     register
       {
         o_name = name;
         o_schema = schema;
-        o_persist = persist;
-        o_clear = (fun () -> shard_clear (shard t));
-        o_stats =
+        o_clear =
           (fun () ->
-            let sh = shard t in
-            {
-              hits = sh.s_hits;
-              misses = sh.s_misses;
-              evictions = sh.s_evictions;
-              entries = Hashtbl.length sh.tbl;
-            });
-        o_swap_fresh;
+            locked l @@ fun () ->
+            Hashtbl.reset l.tbl;
+            l.first <- None;
+            l.last <- None;
+            l.s_hits <- 0;
+            l.s_misses <- 0;
+            l.s_evictions <- 0);
+        o_stats = (fun () -> stats l);
         o_dump =
           (fun () ->
             List.map
               (fun (k, v) -> (k, Marshal.to_string v []))
-              (entries_oldest_first (shard t)));
+              (locked l (fun () -> entries_oldest_first l)));
         o_absorb =
           (fun pairs ->
-            let sh = shard t in
-            List.iter
-              (fun (k, bytes) ->
-                put sh ~capacity:t.capacity k (Marshal.from_string bytes 0))
-              pairs);
+            (* unmarshal everything before inserting anything, so a
+               section that fails to decode leaves the table as it was *)
+            let decoded =
+              List.map (fun (k, bytes) -> (k, Marshal.from_string bytes 0)) pairs
+            in
+            locked l (fun () -> List.iter (fun (k, v) -> put l k v) decoded));
       };
-    t
+    l
 
-  let find_or_compute t ~key f =
+  (* The lock covers only the table operations: a miss computes
+     outside it, so a slow thunk never blocks other domains' lookups.
+     Two domains missing on one key both compute (the same value) and
+     both insert; [put] keeps the first. *)
+  let find_or_compute l ~key f =
     if not !enabled_flag then f ()
     else begin
-      let sh = shard t in
       Obs.incr "cache.lookups";
-      match Hashtbl.find_opt sh.tbl key with
-      | Some n ->
-        sh.s_hits <- sh.s_hits + 1;
+      let cached =
+        locked l @@ fun () ->
+        match Hashtbl.find_opt l.tbl key with
+        | Some n ->
+          l.s_hits <- l.s_hits + 1;
+          touch l n;
+          Some n.nvalue
+        | None ->
+          l.s_misses <- l.s_misses + 1;
+          None
+      in
+      match cached with
+      | Some v ->
         Obs.incr "cache.hits";
-        touch sh n;
-        n.nvalue
+        v
       | None ->
-        sh.s_misses <- sh.s_misses + 1;
         Obs.incr "cache.misses";
         let v = f () in
-        put sh ~capacity:t.capacity key v;
+        locked l (fun () -> put l key v);
         v
     end
 
-  let mem t key = Hashtbl.mem (shard t).tbl key
-  let length t = Hashtbl.length (shard t).tbl
-  let capacity t = t.capacity
+  let mem l key = locked l (fun () -> Hashtbl.mem l.tbl key)
+  let length l = locked l (fun () -> Hashtbl.length l.tbl)
+  let capacity l = l.capacity
 
-  let keys t =
+  let keys l =
+    locked l @@ fun () ->
     let rec walk acc = function
       | None -> List.rev acc
       | Some n -> walk (n.nkey :: acc) n.next
     in
-    walk [] (shard t).first
-
-  let stats t =
-    let sh = shard t in
-    {
-      hits = sh.s_hits;
-      misses = sh.s_misses;
-      evictions = sh.s_evictions;
-      entries = Hashtbl.length sh.tbl;
-    }
-end
-
-(* ------------------------------------------------------------------ *)
-(* Parallel workers                                                    *)
-(* ------------------------------------------------------------------ *)
-
-module Worker = struct
-  (* [None] when the cache was disabled during the capture. *)
-  type snapshot = (unit -> unit) list option
-
-  let capture f =
-    if not !enabled_flag then (f (), None)
-    else begin
-      let undos = List.map (fun o -> o.o_swap_fresh ()) (registered ()) in
-      match f () with
-      | v -> (v, Some (List.map (fun undo -> undo ()) undos))
-      | exception e ->
-        List.iter
-          (fun undo ->
-            let _discarded_merge : unit -> unit = undo () in
-            ())
-          undos;
-        raise e
-    end
-
-  let merge = function
-    | None -> ()
-    | Some merges -> List.iter (fun m -> m ()) merges
+    walk [] l.first
 end
 
 (* ------------------------------------------------------------------ *)
@@ -325,11 +269,8 @@ type section = { p_name : string; p_schema : string; p_pairs : (string * string)
    truncated cache that [load] would have to discard. *)
 let save path =
   let sections =
-    List.filter_map
-      (fun o ->
-        if o.o_persist then
-          Some { p_name = o.o_name; p_schema = o.o_schema; p_pairs = o.o_dump () }
-        else None)
+    List.map
+      (fun o -> { p_name = o.o_name; p_schema = o.o_schema; p_pairs = o.o_dump () })
       (registered ())
   in
   let payload = Marshal.to_string sections [] in
@@ -363,28 +304,31 @@ let load path =
         else (Marshal.from_string payload 0 : section list) |> Option.some
       end
     in
-    (* a bad file of any flavour — truncated header, checksum
-       mismatch, unmarshalable payload — degrades to a cold cache,
-       but visibly: the discard feeds the [cache.load_corrupt]
-       counter (the file existed, so silence would hide real loss) *)
-    let corrupt () =
-      Obs.incr "cache.load_corrupt";
-      false
-    in
+    (* a bad file or section of any flavour — truncated header,
+       checksum mismatch, unmarshalable payload — degrades to a cold
+       cache, but visibly: the discard feeds the [cache.load_corrupt]
+       counter (the file existed, so silence would hide real loss).
+       [Marshal] reports bad bytes as [Failure] or [Invalid_argument]. *)
+    let corrupt () = Obs.incr "cache.load_corrupt" in
     match Fun.protect ~finally:(fun () -> close_in ic) parse with
-    | exception _ -> corrupt ()
-    | None -> corrupt ()
+    | exception (End_of_file | Sys_error _ | Failure _ | Invalid_argument _) ->
+      corrupt ();
+      false
+    | None ->
+      corrupt ();
+      false
     | Some sections ->
       let tables = registered () in
       List.iter
         (fun s ->
           match
             List.find_opt
-              (fun o ->
-                o.o_persist && o.o_name = s.p_name && o.o_schema = s.p_schema)
+              (fun o -> o.o_name = s.p_name && o.o_schema = s.p_schema)
               tables
           with
-          | Some o -> (try o.o_absorb s.p_pairs with _ -> ())
+          | Some o -> (
+            try o.o_absorb s.p_pairs
+            with Failure _ | Invalid_argument _ -> corrupt ())
           | None -> () (* stale or foreign section: skip *))
         sections;
       true)

@@ -1,28 +1,41 @@
 (** Dependency-free memoization of repeated solves.
 
-    The pipeline re-solves the same integer-linear-algebra subproblems
-    over and over: every sweep cell runs the Hermite/Smith machinery on
-    matrices earlier cells already reduced, and the decomposition
-    search revisits the same data-flow matrices [T] across workloads.
-    This module gives those hot paths a content-addressed memo table —
-    keyed by a canonical encoding of the input (see
-    {!Linalg.Mat.encode}), size-bounded with LRU eviction — in the
-    same spirit as {!Obs} and {!Par}: standard library only, and zero
-    cost when unused.
+    A content-addressed memo table — keyed by a canonical encoding of
+    the input (see {!Linalg.Mat.encode}), size-bounded with LRU
+    eviction — in the same spirit as {!Obs} and {!Par}: standard
+    library only, and zero cost when unused.
+
+    Only three tables exist, each kept because an end-to-end
+    measurement says it pays (2-core host, 20 s [perfbench] runs):
+    - [serve.responses] (capacity 512): whole rendered answers of the
+      [serve] daemon, persisted across restarts.  Two thirds of a
+      [Loadgen.mix] repeat a key.
+    - [cost.of_plan]: plan pricing, the work a sweep and a served
+      answer repeat most.  Without it, serve throughput drops 15% and
+      its tail latency grows 52%.
+    - [validate.check]: the brute-force validator.  Together with
+      [cost.of_plan] it takes a warm [sweep --cache FILE] from 0.7 s
+      to 0.01 s.
+    The Hermite/Smith, unimodular-inverse and decomposition-search
+    kernels are {e not} memoized: they take microseconds on the
+    paper's 2×2 to 4×4 matrices, and dropping their nine tables moved
+    serve throughput by −3.5% (inside noise) and solve and sweep
+    slightly up.
 
     {e Caching never changes results.}  Until {!enable} is called,
     {!Memo.find_or_compute} calls its thunk directly — one boolean
-    test, no table, no allocation — so cache-off output is
-    byte-identical to a build without this library.  With the cache
-    on, only pure functions are memoized, so every output is
-    byte-identical to cache-off; the CI gate diffs the two.
+    test, no table, no lock — so cache-off output is byte-identical to
+    a build without this library.  With the cache on, only pure
+    functions are memoized, so every output is byte-identical to
+    cache-off; the CI gate diffs the two.
 
-    Like {!Obs}, the tables are {e per-domain}: each domain reads and
-    writes its own shard (held in [Domain.DLS]), so workers spawned by
-    {!Par} never contend and never need a lock.  {!Worker} mirrors
-    [Obs.Worker]: a parallel runner gives every task a fresh shard and
-    folds what the task cached back into the caller's shard at join,
-    in slot order, so the merged cache state is deterministic.
+    Every table is {e shared} by all domains and guarded by its own
+    mutex, held only for the table operation: a miss computes outside
+    the lock.  Workers spawned by {!Par} therefore read what the
+    caller (or an earlier {!load}) put there.  Under [--jobs > 1] the
+    order in which workers insert — and so the table contents after a
+    run and the hit/miss tallies — depends on scheduling; outputs
+    never do.
 
     An optional on-disk format ({!save} / {!load}) persists the tables
     across CLI invocations.  The format is versioned and checksummed;
@@ -45,18 +58,16 @@ val scoped : ?enable:bool -> (unit -> 'a) -> 'a
     previous state afterwards (also on exceptions); [~enable:false]
     forces it off for the scope; omitting [enable] leaves the ambient
     state alone — this is what the [?cache] optional arguments of
-    {!Resopt.Pipeline.run}, {!Resopt.Sweep.run} and
-    {!Resopt.Cost.of_plan} pass through. *)
+    {!Resopt.Sweep.run} and {!Resopt.Cost.of_plan} pass through. *)
 
 val clear : unit -> unit
-(** Drop every entry of every table in the current domain's shards and
-    reset their hit/miss/eviction tallies.  Does not change the
-    enabled flag. *)
+(** Drop every entry of every table and reset their
+    hit/miss/eviction tallies.  Does not change the enabled flag. *)
 
 (** {1 Statistics} *)
 
 type stats = { hits : int; misses : int; evictions : int; entries : int }
-(** Tallies for the current domain's shard(s).  [entries] is the
+(** Tallies of one table, or of all of them.  [entries] is the
     current size; the counters are cumulative since the last {!clear}.
     When recording is on ({!Obs.enabled}), every lookup also feeds the
     [cache.lookups] / [cache.hits] / [cache.misses] /
@@ -65,7 +76,7 @@ type stats = { hits : int; misses : int; evictions : int; entries : int }
     [hits + misses = lookups] still holds. *)
 
 val stats : unit -> stats
-(** Aggregate over every table, current domain. *)
+(** Aggregate over every table. *)
 
 (** {1 Memo tables} *)
 
@@ -75,27 +86,26 @@ module Memo : sig
       Each memoized function owns one table, created once at module
       initialization. *)
 
-  val create :
-    ?capacity:int -> ?persist:bool -> name:string -> schema:string -> unit -> 'a t
-  (** [capacity] (default 1024, clamped to >= 1) bounds every
-      per-domain shard; the least-recently-used entry is evicted when
-      a fresh key would overflow it.  [persist] (default true) opts
-      the table into {!save} / {!load}; set it to false for values
-      that cannot be marshalled (closures).  [name] must be unique —
-      it keys the on-disk sections — and [schema] is a free-form
-      version tag: bump it whenever the value type or the meaning of
-      the keys changes, and stale persisted sections are skipped on
-      load. *)
+  val create : ?capacity:int -> name:string -> schema:string -> unit -> 'a t
+  (** [capacity] (default 1024, clamped to >= 1) bounds the table;
+      the least-recently-used entry is evicted when a fresh key would
+      overflow it.  Values must be marshallable: every table takes
+      part in {!save} / {!load}.  [name] must be unique — it keys the
+      on-disk sections — and [schema] is a free-form version tag: bump
+      it whenever the value type or the meaning of the keys changes,
+      and stale persisted sections are skipped on load. *)
 
   val find_or_compute : 'a t -> key:string -> (unit -> 'a) -> 'a
   (** The only lookup.  With the cache disabled this is just the
       thunk.  Enabled: return the cached value for [key] (refreshing
       its recency) or run the thunk, store the result and return it —
-      evicting the least-recently-used entry if the shard is full.  If
-      the thunk raises, nothing is stored. *)
+      evicting the least-recently-used entry if the table is full.
+      The thunk runs outside the table's lock, so domains that miss on
+      the same key at once each compute it and the first insert wins.
+      If the thunk raises, nothing is stored. *)
 
   val mem : 'a t -> string -> bool
-  (** Current domain, no recency update, no counters. *)
+  (** No recency update, no counters. *)
 
   val length : 'a t -> int
 
@@ -107,31 +117,9 @@ module Memo : sig
   val stats : 'a t -> stats
 end
 
-(** {1 Parallel workers} *)
-
-module Worker : sig
-  type snapshot
-  (** What one captured task inserted; empty (and free) when the cache
-      was disabled during the capture. *)
-
-  val capture : (unit -> 'a) -> 'a * snapshot
-  (** Run the thunk with a fresh, empty shard per table for the
-      current domain, restoring the previous shards afterwards.
-      Mirrors [Obs.Worker.capture], and {!Par} calls both at the same
-      point.  If the thunk raises, the insertions are dropped and the
-      exception propagates. *)
-
-  val merge : snapshot -> unit
-  (** Fold a snapshot into the current domain's shards: entries are
-      replayed oldest-first through the normal insertion path
-      (capacity and eviction included) and the hit/miss/eviction
-      tallies are summed.  Merging in slot order keeps the caller's
-      shard deterministic. *)
-end
-
 (** {1 Persistence}
 
-    One file holds every persistent table.  Layout: a magic line with
+    One file holds every table.  Layout: a magic line with
     the format version, a hex FNV-1a checksum line, then the marshalled
     sections.  {!load} verifies magic and checksum before unmarshalling
     anything, and skips sections whose (name, schema) no longer match a
@@ -139,18 +127,21 @@ end
     cache, never to a crash. *)
 
 val save : string -> unit
-(** Write the current domain's shards of every [persist] table —
-    crash-safely: the bytes go to [file ^ ".tmp"] first and are moved
-    into place with an atomic [Sys.rename], so a crash (or [kill -9],
-    as the serve snapshot loop invites) mid-save leaves the previous
-    complete file intact rather than a truncated one.  Raises
-    [Sys_error] if the file cannot be written. *)
+(** Write every table — crash-safely: the bytes go to
+    [file ^ ".tmp"] first and are moved into place with an atomic
+    [Sys.rename], so a crash (or [kill -9], as the serve snapshot loop
+    invites) mid-save leaves the previous complete file intact rather
+    than a truncated one.  Raises [Sys_error] if the file cannot be
+    written. *)
 
 val load : string -> bool
-(** [load file] merges the file's entries into the current domain's
-    shards (through the normal insertion path, so capacities hold) and
-    returns [true]; returns [false] — caching simply starts cold — if
-    the file is missing, truncated, corrupted, from another format
-    version, or fails to unmarshal.  A file that {e exists} but fails
-    validation additionally bumps the [cache.load_corrupt] Obs
-    counter, so silent warm-cache loss is visible in [--stats]. *)
+(** [load file] merges the file's entries into the tables (through
+    the normal insertion path, so capacities hold) and returns
+    [true]; returns [false] — caching simply starts cold — if the file
+    is missing, truncated, corrupted, from another format version, or
+    fails to unmarshal.  A file that {e exists} but fails validation
+    additionally bumps the [cache.load_corrupt] Obs counter, so silent
+    warm-cache loss is visible in [--stats].  A section that passes
+    the checksum and matches a table's name and schema but fails to
+    unmarshal is skipped whole and bumps the same counter; the rest
+    of the file still loads. *)

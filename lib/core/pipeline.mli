@@ -36,10 +36,10 @@ val run :
     [schedule] defaults to the all-parallel schedule.  [axis_align]
     (default true) enables the unimodular rotations of step 2a; turning
     it off is the ablation that leaves partial macro-communications
-    diagonal.  [cache] scopes {!Cache} around the whole run ([true]
-    memoizes the Hermite/Smith/rotation solves, [false] forces the
-    tables off, omitted inherits the ambient state); the result is
-    byte-identical either way. *)
+    diagonal.  [cache] is accepted and ignored: no step of the
+    pipeline is memoized (its Hermite/Smith/rotation solves take
+    microseconds), but existing callers, the benchmark harness among
+    them, still pass it. *)
 
 val summary : result -> Commplan.summary
 

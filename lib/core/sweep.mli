@@ -94,10 +94,11 @@ val run :
     byte-identical to a bounds-free sweep.
 
     [cache] scopes {!Cache} around the whole sweep ([true] memoizes
-    the linear-algebra solves and per-cell pricing, [false] forces the
-    tables off, omitted inherits the ambient state).  Sweeps repeat
-    work aggressively — every cell re-reduces matrices earlier cells
-    already solved — but caching never changes a row: cached output is
+    per-cell pricing and validation, [false] forces the tables off,
+    omitted inherits the ambient state).  Workers under [jobs] read
+    the same tables, so a sweep whose cells are already cached (a
+    repeat, or a warm [--cache FILE]) answers from them at any job
+    count.  Caching never changes a row: cached output is
     byte-identical to uncached, with or without [jobs].
 
     [jobs] fans the (workload, m) cells over a {!Par.Pool} of that

@@ -71,8 +71,9 @@ val task : ?index:int -> ?size:int -> string -> (unit -> 'a) -> 'a
 
 val event : string -> (unit -> 'a) -> 'a
 (** [event kind f] — like {!task} but for pool lifecycle work that is
-    not task execution: [kind] is ["spawn"], ["merge.obs"],
-    ["merge.cache"] or ["teardown"].  No GC accounting, no stack. *)
+    not task execution: [kind] is ["spawn"], ["merge.obs"] or
+    ["teardown"].  Any kind starting with ["merge"] counts towards the
+    merge bucket of the diagnosis.  No GC accounting, no stack. *)
 
 (** {1 Recorded data} *)
 

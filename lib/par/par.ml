@@ -205,37 +205,30 @@ let run_tasks pool n task =
     in
     let snapshots = Array.make slots None in
     Pool.run pool (fun slot ->
-        let ((), cache_snap), obs_snap =
+        let (), obs_snap =
           Obs.Worker.capture ~worker:slot (fun () ->
-              Cache.Worker.capture (fun () ->
-                  Obs.Profile.with_worker slot (fun () ->
-                      let rec drain () =
-                        let start = Atomic.fetch_and_add next chunk in
-                        if start < n then begin
-                          let stop = min n (start + chunk) in
-                          Obs.Profile.task "chunk" ~index:start
-                            ~size:(stop - start) (fun () ->
-                              for i = start to stop - 1 do
-                                try task i
-                                with e ->
-                                  record i e (Printexc.get_raw_backtrace ())
-                              done);
-                          drain ()
-                        end
-                      in
-                      drain ())))
+              Obs.Profile.with_worker slot (fun () ->
+                  let rec drain () =
+                    let start = Atomic.fetch_and_add next chunk in
+                    if start < n then begin
+                      let stop = min n (start + chunk) in
+                      Obs.Profile.task "chunk" ~index:start
+                        ~size:(stop - start) (fun () ->
+                          for i = start to stop - 1 do
+                            try task i
+                            with e -> record i e (Printexc.get_raw_backtrace ())
+                          done);
+                      drain ()
+                    end
+                  in
+                  drain ()))
         in
-        snapshots.(slot) <- Some (obs_snap, cache_snap));
+        snapshots.(slot) <- Some obs_snap);
     (* join happened inside [Pool.run]; merge in slot order so the
-       parent registry and memo shards are deterministic, then
-       re-raise *)
+       parent registry is deterministic, then re-raise *)
     Array.iter
-      (function
-        | Some (obs_snap, cache_snap) ->
-          Obs.Profile.event "merge.obs" (fun () -> Obs.Worker.merge obs_snap);
-          Obs.Profile.event "merge.cache" (fun () ->
-              Cache.Worker.merge cache_snap)
-        | None -> ())
+      (Option.iter (fun obs_snap ->
+           Obs.Profile.event "merge.obs" (fun () -> Obs.Worker.merge obs_snap)))
       snapshots;
     match Atomic.get err with
     | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt

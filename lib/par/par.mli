@@ -23,12 +23,10 @@
     histogram totals therefore match a sequential run, and every span
     recorded inside a task carries a [("worker", <slot>)] arg.
 
-    Memoization composes the same way: each slot also runs under
-    {!Cache.Worker.capture}, so workers fill fresh per-task shards
-    that are folded back into the caller's shards in slot order at
-    join — the caller's cache state after a parallel run is
-    deterministic, and the [cache.*] counters still satisfy
-    [hits + misses = lookups] after the merge.
+    Memoization needs nothing from this module: {!Cache} tables are
+    shared by every domain behind a per-table lock, so tasks read and
+    fill the caller's tables directly, and the [cache.*] Obs counters
+    merge like any other metric.
 
     Pools are coordinated from one domain at a time: do not share a
     pool between concurrent orchestrators, and do not call a

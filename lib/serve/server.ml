@@ -1,10 +1,11 @@
 (* The serving loop.  Threading rules, which every edit must keep:
 
-   - Only the solver thread touches Obs, Cache, Par or the response
-     memo.  Obs and Cache keep their state in Domain.DLS, which all
-     systhreads of the domain SHARE — two threads mutating those
-     hashtables would corrupt them.  One mutator, no locks needed, and
-     the existing zero-cost subsystems run unmodified.
+   - Only the solver thread touches Obs, Par or the response memo.
+     Obs keeps its state in Domain.DLS, which all systhreads of the
+     domain SHARE — two threads mutating its hashtables would corrupt
+     them.  Cache tables lock themselves, but keeping the response
+     memo on one thread is what makes its mem-then-lookup in
+     [solve_batch] a single step.
    - Connection threads only use: the server mutex (queue, counters,
      waiter lists), their own socket, their own waiter pipe, and pure
      code.
@@ -312,8 +313,9 @@ let solve_batch t (batch : entry list) =
      efficiency next to the latency percentiles *)
   List.iter (fun e -> observe_bounds e.req) runs;
   (* memo hits answer on the solver thread; distinct misses fan out
-     over the pool (Par merges each worker's Obs/Cache capture back
-     here at join, keeping the single-mutator rule intact) *)
+     over the pool (Par merges each worker's Obs capture back here at
+     join, and workers touch only the self-locking pricing and
+     validation tables, never the response memo) *)
   let hits, misses = List.partition (fun e -> Cache.Memo.mem memo e.key) runs in
   let hit_results =
     List.map
@@ -467,8 +469,8 @@ let start cfg =
   Obs.enable ();
   Cache.enable ();
   ignore (Lazy.force response_memo);
-  (* load before any thread exists: start is still single-threaded,
-     so touching the cache here keeps the single-mutator rule *)
+  (* load before any thread exists, so the first batch already
+     answers warm *)
   (match cfg.cache_file with
   | Some file -> ignore (Cache.load file : bool)
   | None -> ());

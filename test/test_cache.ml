@@ -1,12 +1,7 @@
-(* The memo-cache layer: LRU mechanics, persistence hygiene, worker
-   merging, and — the property the whole subsystem rests on — that
-   caching never changes a result: every memoized path must produce
-   byte-identical output with the cache off, on and warm. *)
-
-open Linalg
-
-let prop ?(count = 100) name arb f =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb f)
+(* The memo-cache layer: LRU mechanics, persistence hygiene, sharing
+   across domains, and — the property the whole subsystem rests on —
+   that caching never changes a result: every memoized path must
+   produce byte-identical output with the cache off, on and warm. *)
 
 (* run [f] with the cache on and empty, leaving it off and empty *)
 let fresh f =
@@ -97,29 +92,6 @@ let test_raising_thunk_not_cached () =
   let v = Cache.Memo.find_or_compute t ~key:"k" (fun () -> 41) in
   Alcotest.(check int) "later success stored" 41 v;
   Alcotest.(check bool) "stored now" true (Cache.Memo.mem t "k")
-
-(* ------------------------------------------------------------------ *)
-(* Worker capture / merge                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_worker_merge () =
-  fresh @@ fun () ->
-  let t = Cache.Memo.create ~name:"test.worker" ~schema:"v1" () in
-  ignore (Cache.Memo.find_or_compute t ~key:"parent" (fun () -> 0));
-  let (), snap =
-    Cache.Worker.capture (fun () ->
-        Alcotest.(check bool) "fresh shard inside" false
-          (Cache.Memo.mem t "parent");
-        ignore (Cache.Memo.find_or_compute t ~key:"w1" (fun () -> 1));
-        ignore (Cache.Memo.find_or_compute t ~key:"w2" (fun () -> 2)))
-  in
-  Alcotest.(check bool) "parent restored" true (Cache.Memo.mem t "parent");
-  Alcotest.(check bool) "not merged yet" false (Cache.Memo.mem t "w1");
-  Cache.Worker.merge snap;
-  Alcotest.(check bool) "w1 merged" true (Cache.Memo.mem t "w1");
-  Alcotest.(check bool) "w2 merged" true (Cache.Memo.mem t "w2");
-  let s = Cache.Memo.stats t in
-  Alcotest.(check int) "misses summed across shards" 3 s.Cache.misses
 
 (* ------------------------------------------------------------------ *)
 (* Persistence                                                         *)
@@ -235,103 +207,47 @@ let test_stale_sections_skipped () =
     (Cache.Memo.mem persist "fresh");
   Alcotest.(check string) "absorbed value intact" "v:fresh" (get persist "fresh")
 
+let test_undecodable_section_counted () =
+  fresh @@ fun () ->
+  (* name, schema and checksum all match, but one value's bytes are
+     not a marshalled value: the whole section is skipped, visibly *)
+  let file = temp_file () in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove file;
+      Obs.reset ();
+      Obs.disable ())
+  @@ fun () ->
+  Obs.enable ();
+  Obs.reset ();
+  write_cache_file file
+    [
+      {
+        p_name = "test.persist";
+        p_schema = "v1";
+        p_pairs =
+          [ ("good", Marshal.to_string "v:good" []); ("bad", "garbage bytes") ];
+      };
+    ];
+  Alcotest.(check bool) "the file itself loads" true (Cache.load file);
+  Alcotest.(check int) "undecodable section counted" 1
+    (Obs.counter "cache.load_corrupt");
+  Alcotest.(check bool) "bad entry skipped" false (Cache.Memo.mem persist "bad");
+  Alcotest.(check bool) "rest of the section skipped too" false
+    (Cache.Memo.mem persist "good")
+
 (* ------------------------------------------------------------------ *)
 (* Differential properties: cached = uncached, everywhere              *)
 (* ------------------------------------------------------------------ *)
 
-let arb_mat =
-  let gen =
-    QCheck.Gen.(
-      int_range 1 4 >>= fun r ->
-      int_range 1 4 >>= fun c ->
-      list_repeat (r * c) (int_range (-9) 9) >>= fun entries ->
-      let a = Array.of_list entries in
-      return (Mat.make r c (fun i j -> a.((i * c) + j))))
-  in
-  QCheck.make ~print:Mat.to_string gen
-
-(* determinant-1 2x2 matrices as short products of the elementary
-   transvections L(k), U(k) — the decomposition's own vocabulary *)
-let arb_det1 =
-  let gen =
-    QCheck.Gen.(
-      triple (int_range (-5) 5) (int_range (-5) 5) (int_range (-5) 5)
-      >>= fun (k1, k2, k3) ->
-      let l k = Mat.of_lists [ [ 1; 0 ]; [ k; 1 ] ] in
-      let u k = Mat.of_lists [ [ 1; k ]; [ 0; 1 ] ] in
-      return (Mat.mul (l k1) (Mat.mul (u k2) (l k3))))
-  in
-  QCheck.make ~print:Mat.to_string gen
-
-let arb_seed = QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 50_000)
-
-(* [uncached = cached = warm-hit] for one memoized function *)
-let differential f m =
+(* [off = cold = warm] for one memoized computation *)
+let differential f x =
   Cache.disable ();
-  let off = f m in
+  let off = f x in
   fresh (fun () ->
-      let cold = f m in
-      let warm = f m in
+      let cold = f x in
+      let warm = f x in
       off = cold && cold = warm)
-
-let diff_props =
-  [
-    prop "hermite row_style: cached = uncached" arb_mat
-      (differential Hermite.row_style);
-    prop "hermite col_style: cached = uncached" arb_mat
-      (differential Hermite.col_style);
-    prop "smith: cached = uncached" arb_mat (differential Smith.decompose);
-    prop "unimodular inverse: cached = uncached" arb_det1
-      (differential Unimodular.inverse);
-    prop ~count:60 "hermite paper_right: cached = uncached" arb_det1
-      (differential Hermite.paper_right);
-    prop ~count:60 "decompose min_factors: cached = uncached" arb_det1
-      (differential Decomp.Decompose.min_factors);
-    prop ~count:60 "decompose euclid: cached = uncached" arb_det1
-      (differential Decomp.Decompose.euclid);
-  ]
-
-let test_search_differential () =
-  List.iter
-    (fun bound ->
-      Cache.disable ();
-      let off = Decomp.Search.factor_histogram ~bound () in
-      fresh (fun () ->
-          let cold = Decomp.Search.factor_histogram ~bound () in
-          let warm = Decomp.Search.factor_histogram ~bound () in
-          Alcotest.(check bool)
-            (Printf.sprintf "bound %d identical" bound)
-            true
-            (off = cold && cold = warm)))
-    [ 1; 2; 3 ]
-
-let plan_fingerprint (r : Resopt.Pipeline.result) =
-  List.map
-    (fun (e : Resopt.Commplan.entry) ->
-      ( e.Resopt.Commplan.stmt,
-        e.Resopt.Commplan.label,
-        Resopt.Commplan.classification_name e.Resopt.Commplan.classification,
-        e.Resopt.Commplan.vectorizable ))
-    r.Resopt.Pipeline.plan
-
-let pipeline_props =
-  [
-    prop ~count:40 "pipeline: cache on = cache off" arb_seed (fun seed ->
-        let nest = Nestir.Gennest.generate ~seed:(seed + 5_000_000) in
-        let run cache () = Resopt.Pipeline.run ~m:2 ~cache nest in
-        Cache.disable ();
-        let off = try Ok (plan_fingerprint (run false ())) with e -> Error e in
-        Cache.clear ();
-        let on =
-          try Ok (plan_fingerprint (Resopt.Pipeline.run ~m:2 ~cache:true nest))
-          with e -> Error e
-        in
-        Cache.clear ();
-        match (off, on) with
-        | Ok a, Ok b -> a = b
-        | Error _, Error _ -> true
-        | _ -> false);
-  ]
 
 let test_cost_differential () =
   let w = Resopt.Workloads.find "example1" in
@@ -344,16 +260,30 @@ let test_cost_differential () =
   in
   List.iter
     (fun model ->
-      Cache.disable ();
-      let off = Resopt.Cost.of_plan ~faults model r.Resopt.Pipeline.plan in
-      fresh (fun () ->
-          let cold = Resopt.Cost.of_plan ~faults model r.Resopt.Pipeline.plan in
-          let warm = Resopt.Cost.of_plan ~faults model r.Resopt.Pipeline.plan in
-          Alcotest.(check bool)
-            (model.Machine.Models.name ^ " breakdown identical")
-            true
-            (off = cold && cold = warm)))
+      Alcotest.(check bool)
+        (model.Machine.Models.name ^ " breakdown identical")
+        true
+        (differential
+           (Resopt.Cost.of_plan ~faults model)
+           r.Resopt.Pipeline.plan))
     [ Machine.Models.cm5 (); Machine.Models.paragon (); Machine.Models.t3d () ]
+
+let test_validate_differential () =
+  let checked =
+    List.fold_left
+      (fun checked nest ->
+        match Resopt.Pipeline.run ~m:2 nest with
+        | exception Failure _ -> checked
+        | r ->
+          Alcotest.(check bool)
+            (nest.Nestir.Loopnest.nest_name ^ " violations identical")
+            true
+            (differential Resopt.Validate.check r);
+          checked + 1)
+      0
+      (Nestir.Gennest.generate_many ~seed:5_000_000 ~count:60)
+  in
+  Alcotest.(check bool) "at least 40 nests validated" true (checked >= 40)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel safety: shared cache under Par                             *)
@@ -385,6 +315,54 @@ let test_sweep_parallel_cache () =
   Alcotest.(check bool) "warm jobs:4 = uncached" true (warm = uncached);
   Alcotest.(check string) "CSV byte-identical" (Resopt.Sweep.to_csv uncached)
     (Resopt.Sweep.to_csv par)
+
+(* workers read the caller's tables: once a sequential run has cached
+   every cell, a parallel rerun must not miss once *)
+let test_warm_parallel_hits () =
+  Cache.clear ();
+  Fun.protect ~finally:Cache.clear @@ fun () ->
+  let seq = strip_rows (Resopt.Sweep.run ~ms:[ 2 ] ~cache:true ()) in
+  let before = (Cache.stats ()).Cache.misses in
+  let par = strip_rows (Resopt.Sweep.run ~jobs:2 ~ms:[ 2 ] ~cache:true ()) in
+  Alcotest.(check int) "no misses when warm" before (Cache.stats ()).Cache.misses;
+  Alcotest.(check bool) "same rows" true (par = seq)
+
+(* four domains hammer one small table with overlapping keys *)
+let test_shared_table_concurrency () =
+  let t = Cache.Memo.create ~capacity:8 ~name:"test.concurrent" ~schema:"v1" () in
+  let n = 2_000 in
+  let key i = string_of_int (i mod 13) in
+  fresh @@ fun () ->
+  Fun.protect ~finally:(fun () ->
+      Obs.reset ();
+      Obs.disable ())
+  @@ fun () ->
+  Obs.enable ();
+  Obs.reset ();
+  let results =
+    Par.Pool.with_pool ~jobs:4 ~oversubscribe:true (fun pool ->
+        Par.map pool
+          (fun i ->
+            let v =
+              Cache.Memo.find_or_compute t ~key:(key i) (fun () -> "v:" ^ key i)
+            in
+            (v, Cache.Memo.length t))
+          (List.init n Fun.id))
+  in
+  List.iteri
+    (fun i (v, len) ->
+      Alcotest.(check string) "value = thunk result" ("v:" ^ key i) v;
+      Alcotest.(check bool) "length within capacity" true (len <= 8))
+    results;
+  Alcotest.(check bool) "final length within capacity" true
+    (Cache.Memo.length t <= 8);
+  let s = Cache.Memo.stats t in
+  Alcotest.(check int) "table: hits + misses = lookups" n
+    (s.Cache.hits + s.Cache.misses);
+  Alcotest.(check int) "counters: hits + misses = lookups"
+    (Obs.counter "cache.lookups")
+    (Obs.counter "cache.hits" + Obs.counter "cache.misses");
+  Alcotest.(check int) "every lookup counted" n (Obs.counter "cache.lookups")
 
 let test_counters_consistent_after_merge () =
   Obs.enable ();
@@ -419,7 +397,6 @@ let () =
           Alcotest.test_case "raising thunk not cached" `Quick
             test_raising_thunk_not_cached;
         ] );
-      ("worker", [ Alcotest.test_case "capture and merge" `Quick test_worker_merge ]);
       ( "persistence",
         [
           Alcotest.test_case "save/load roundtrip" `Quick test_save_load_roundtrip;
@@ -428,19 +405,24 @@ let () =
           Alcotest.test_case "bad files ignored" `Quick test_bad_files_ignored;
           Alcotest.test_case "stale sections skipped" `Quick
             test_stale_sections_skipped;
+          Alcotest.test_case "undecodable section counted" `Quick
+            test_undecodable_section_counted;
         ] );
       ( "differential",
-        diff_props
-        @ [
-            Alcotest.test_case "search histograms" `Quick test_search_differential;
-            Alcotest.test_case "cost breakdowns" `Quick test_cost_differential;
-          ]
-        @ pipeline_props );
+        [
+          Alcotest.test_case "cost breakdowns" `Quick test_cost_differential;
+          Alcotest.test_case "validate violations" `Quick
+            test_validate_differential;
+        ] );
       ( "parallel",
         [
           Alcotest.test_case "sweep: cached/parallel = uncached" `Quick
             test_sweep_parallel_cache;
           Alcotest.test_case "counters consistent after merge" `Quick
             test_counters_consistent_after_merge;
+          Alcotest.test_case "warm parallel sweep never misses" `Quick
+            test_warm_parallel_hits;
+          Alcotest.test_case "shared table under four domains" `Quick
+            test_shared_table_concurrency;
         ] );
     ]

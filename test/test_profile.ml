@@ -22,7 +22,7 @@ let teardown () =
      0..1    spawn event
      1..5    worker 0: chunk (2 items), nesting cell:a over 2..4
      1..9    worker 1: chunk (2 items)
-     9..9.5  merge.obs        9.5..10  merge.cache
+     9..9.5  merge.obs (slot 0)   9.5..10  merge.obs (slot 1)
 
    wall = 10 ms, width = 2 so the budget is 20 ms; busy = 4 + 8 = 12,
    spawn = 1, merge = 1, idle = 20 - 14 = 6. *)
@@ -44,7 +44,7 @@ let scenario () =
       Obs.Profile.task "chunk" ~index:2 ~size:2 (fun () -> at 9.0));
   at 9.0;
   Obs.Profile.event "merge.obs" (fun () -> at 9.5);
-  Obs.Profile.event "merge.cache" (fun () -> at 10.0)
+  Obs.Profile.event "merge.obs" (fun () -> at 10.0)
 
 (* ------------------------------------------------------------------ *)
 (* Recorded data                                                       *)
