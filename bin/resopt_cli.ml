@@ -272,9 +272,19 @@ let workload_arg =
   let doc = "Workload name (see $(b,list))." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD" ~doc)
 
+(* A virtual grid has at least one dimension: [-m 0] and [--ms 0] are
+   usage errors, not solver crashes or empty tables. *)
+let grid_dim =
+  let parse s =
+    match int_of_string_opt s with
+    | Some m when m >= 1 -> Ok m
+    | _ -> Error (Printf.sprintf "grid dimension must be an integer >= 1, got %S" s)
+  in
+  Arg.conv' ~docv:"M" (parse, Format.pp_print_int)
+
 let m_arg =
   let doc = "Dimension of the target virtual processor grid." in
-  Arg.(value & opt int 2 & info [ "m" ] ~docv:"M" ~doc)
+  Arg.(value & opt grid_dim 2 & info [ "m" ] ~docv:"M" ~doc)
 
 let find_workload name =
   match Resopt.Workloads.find name with
@@ -593,7 +603,7 @@ let sweep_cmd =
   in
   let ms_arg =
     let doc = "Comma-separated grid dimensions to sweep." in
-    Arg.(value & opt (list int) [ 2 ] & info [ "ms" ] ~docv:"M,M,..." ~doc)
+    Arg.(value & opt (list grid_dim) [ 2 ] & info [ "ms" ] ~docv:"M,M,..." ~doc)
   in
   let csv_arg =
     let doc =
@@ -681,7 +691,7 @@ let profile_cmd =
   in
   let ms_arg =
     let doc = "Comma-separated grid dimensions to sweep while profiling." in
-    Arg.(value & opt (list int) [ 1; 2; 3 ] & info [ "ms" ] ~docv:"M,M,..." ~doc)
+    Arg.(value & opt (list grid_dim) [ 1; 2; 3 ] & info [ "ms" ] ~docv:"M,M,..." ~doc)
   in
   let profile_file_arg =
     let doc =

@@ -5,14 +5,24 @@
     eviction — in the same spirit as {!Obs} and {!Par}: standard
     library only, and zero cost when unused.
 
-    Only three tables exist, each kept because an end-to-end
+    Only four tables exist, each kept because an end-to-end
     measurement says it pays (2-core host, 20 s [perfbench] runs):
     - [serve.responses] (capacity 512): whole rendered answers of the
       [serve] daemon, persisted across restarts.  Two thirds of a
-      [Loadgen.mix] repeat a key.
+      [Loadgen.mix] repeat a key.  Re-measured with [serve.solved] in
+      place (3 alternating pairs): without it, serve throughput drops
+      from 11.4–12.4k to 9.6–11.3k req/s and p50 latency grows from
+      0.042 to 0.060–0.066 ms.
+    - [serve.solved] (capacity 256): the seed-independent stage of a
+      served answer ([Serve.Answer]) per (workload, m, topology).
+      The 1651 distinct keys of a 5000-request [Loadgen.mix] cover
+      only 33 of them.  With it (medians of 10 alternating pairs),
+      serve throughput went from 6073 to 11999 req/s, tail latency
+      from 1.65 to 1.00 ms and the server's peak RSS from 18.2 to
+      13.7 MB.
     - [cost.of_plan]: plan pricing, the work a sweep and a served
       answer repeat most.  Without it, serve throughput drops 15% and
-      its tail latency grows 52%.
+      its tail latency grows 52% (measured before [serve.solved]).
     - [validate.check]: the brute-force validator.  Together with
       [cost.of_plan] it takes a warm [sweep --cache FILE] from 0.7 s
       to 0.01 s.

@@ -99,10 +99,11 @@ let entry_cost ~faults ?remap model ~bytes (e : Commplan.entry) =
    fault schedule and, per entry, exactly the classification fields
    that reach a cost formula. *)
 (* Schema v2: the topology joins the key through its spec grammar
-   (mesh/torus/fattree/dragonfly) instead of bare grid extents — v1
-   disk snapshots simply start cold. *)
+   (mesh/torus/fattree/dragonfly) instead of bare grid extents.  v3:
+   a mapping spec's seed and restarts join the key only for [Search].
+   Older disk snapshots simply start cold. *)
 let memo : breakdown Cache.Memo.t =
-  Cache.Memo.create ~name:"cost.of_plan" ~schema:"v2" ()
+  Cache.Memo.create ~name:"cost.of_plan" ~schema:"v3" ()
 
 let model_key (model : Machine.Models.t) =
   let topo = model.Machine.Models.topo in
@@ -143,13 +144,15 @@ let entry_key (e : Commplan.entry) =
   in
   Printf.sprintf "%s/%s:%s" e.Commplan.stmt e.Commplan.label class_part
 
-(* The mapping spec joins the key only when given: a mapping-free
-   pricing keeps the exact PR-6 key (and behavior). *)
+(* The mapping spec joins the key only when given, so a mapping-free
+   pricing keeps its key (and behavior); its seed and restarts only
+   when the placement reads them, so greedy pricings under any seed
+   share one entry. *)
 let mapping_key = function
   | None -> ""
-  | Some (s : Mapping.spec) ->
-    Printf.sprintf "|map:%s:%d:%d" (Mapping.kind_to_string s.Mapping.kind)
-      s.Mapping.seed s.Mapping.restarts
+  | Some { Mapping.kind = Mapping.Search; seed; restarts } ->
+    Printf.sprintf "|map:search:%d:%d" seed restarts
+  | Some (s : Mapping.spec) -> "|map:" ^ Mapping.kind_to_string s.Mapping.kind
 
 let plan_key ?mapping ~bytes ~faults model plan =
   Printf.sprintf "%s|b%d|f%s%s|%s" (model_key model) bytes (faults_key faults)

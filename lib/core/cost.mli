@@ -38,7 +38,9 @@ val of_plan :
     the ambient state).  A whole breakdown is memoized under a key
     covering every input the formulas read — machine name, grid,
     network parameters, hardware collectives, [bytes], the fault
-    schedule and each entry's priced classification — so a sweep that
+    schedule, the mapping kind (plus seed and restarts, which only a
+    [Search] placement reads) and each entry's priced
+    classification — so a sweep that
     re-prices the same (model, plan) cell hits instead of re-running
     the fold simulation.  Cached or not, the result is byte-identical.
 

@@ -13,82 +13,144 @@ let models_of = function
   | None -> models ()
   | Some topo -> [ Machine.Models.of_topo topo ]
 
+(* ------------------------------------------------------------------ *)
+(* Solved stage: everything the fault and mapping seeds cannot change  *)
+(* ------------------------------------------------------------------ *)
+
+(* What one model contributes before any seed is read: the unfaulted
+   prices of both plans and, on models with a 2-D simulation grid, the
+   residual volume graph with the hop-bytes of the two placements that
+   read no seed, identity and greedy. *)
+type on_model = {
+  model : Machine.Models.t;
+  opt : float;
+  base : float;
+  vol : Machine.Volgraph.t option;
+  hb_identity : int;
+  hb_greedy : int;
+}
+
+type solved = {
+  plan : Resopt.Commplan.t;  (* the optimized plan *)
+  base_plan : Resopt.Commplan.t;  (* the Feautrier baseline's *)
+  head : string;  (* the rendered report, up to the optional blocks *)
+  on_models : on_model list;
+}
+
+let on_model plan base_plan model =
+  let price plan = (Resopt.Cost.of_plan model plan).Resopt.Cost.total in
+  let topo = model.Machine.Models.topo in
+  let vol, hb_identity, hb_greedy =
+    match Resopt.Cost.sim_vgrid model with
+    | None -> (None, 0, 0)
+    | Some vgrid ->
+      let layout = Distrib.Layout.all_cyclic 2 in
+      let place v = Distrib.Layout.place layout ~vgrid ~topo v in
+      let vol =
+        Resopt.Residual.volume_graph ~vgrid ~bytes:64 ~place
+          (Resopt.Residual.flows_of_plan plan)
+      in
+      let n = Machine.Topology.size topo in
+      ( Some vol,
+        Mapping.hop_bytes topo vol (Mapping.identity n),
+        Mapping.hop_bytes topo vol (Mapping.greedy topo vol) )
+  in
+  { model; opt = price plan; base = price base_plan; vol; hb_identity; hb_greedy }
+
+let solve ?topo ~m (w : Resopt.Workloads.t) =
+  let schedule = w.Resopt.Workloads.schedule and nest = w.Resopt.Workloads.nest in
+  let r = Resopt.Pipeline.run ~m ~schedule nest in
+  let base = Resopt.Feautrier.run ~m ~schedule nest in
+  let plan = r.Resopt.Pipeline.plan and base_plan = base.Resopt.Feautrier.plan in
+  {
+    plan;
+    base_plan;
+    head = Format.asprintf "%a@." Resopt.Pipeline.pp r;
+    on_models = List.map (on_model plan base_plan) (models_of topo);
+  }
+
+let solved_memo : solved Cache.Memo.t =
+  Cache.Memo.create ~capacity:256 ~name:"serve.solved" ~schema:"v1" ()
+
+(* Keyed by the workload's content, not just its name, so a caller's
+   own nest under a registered name cannot read a stale entry. *)
+let solved_key ?topo ~m (w : Resopt.Workloads.t) =
+  Printf.sprintf "%s|m%d|%s|%s" w.Resopt.Workloads.name m
+    (Option.fold ~none:"-" ~some:Machine.Topology.to_string topo)
+    (Digest.to_hex
+       (Digest.string
+          (Marshal.to_string
+             (w.Resopt.Workloads.nest, w.Resopt.Workloads.schedule)
+             [ Marshal.No_sharing ])))
+
+let solved ?topo ~m w =
+  if not (Cache.enabled ()) then solve ?topo ~m w
+  else
+    Cache.Memo.find_or_compute solved_memo ~key:(solved_key ?topo ~m w)
+      (fun () -> solve ?topo ~m w)
+
+(* ------------------------------------------------------------------ *)
+(* Per-request stage: only what a fault or mapping seed changes        *)
+(* ------------------------------------------------------------------ *)
+
 (* the same comparison Sweep runs per row: does the optimized plan keep
    its lead over the step-1-only baseline once the machine is
    imperfect? *)
-let resilience_block ppf ~models w m (r : Resopt.Pipeline.result) faults =
-  let base =
-    Resopt.Feautrier.run ~m ~schedule:w.Resopt.Workloads.schedule
-      w.Resopt.Workloads.nest
-  in
+let resilience_block ppf s faults =
   Format.fprintf ppf "@.resilience under %a:@." Machine.Fault.pp faults;
   Format.fprintf ppf "  %-8s %12s %12s %8s %12s %12s %8s@." "model" "optimized"
     "baseline" "gain" "opt+fault" "base+fault" "gain+f";
   List.iter
-    (fun model ->
-      let price ?faults plan =
-        (Resopt.Cost.of_plan ?faults model plan).Resopt.Cost.total
-      in
-      let o = price r.Resopt.Pipeline.plan
-      and b = price base.Resopt.Feautrier.plan
-      and fo = price ~faults r.Resopt.Pipeline.plan
-      and fb = price ~faults base.Resopt.Feautrier.plan in
+    (fun c ->
+      let price plan = (Resopt.Cost.of_plan ~faults c.model plan).Resopt.Cost.total in
+      let fo = price s.plan and fb = price s.base_plan in
       let gain num den = if den > 0.0 then num /. den else Float.infinity in
       Format.fprintf ppf "  %-8s %12.1f %12.1f %7.2fx %12.1f %12.1f %7.2fx@."
-        model.Machine.Models.name o b (gain b o) fo fb (gain fb fo))
-    models
+        c.model.Machine.Models.name c.opt c.base (gain c.base c.opt) fo fb
+        (gain fb fo))
+    s.on_models
 
 (* the placement the mapping layer picks for the plan's residual
    traffic, per 2-D model: hop-bytes before/after plus the plan price
    before/after (the sweep's gain_map column, one workload) *)
-let mapping_block ppf ~models (r : Resopt.Pipeline.result) spec =
+let mapping_block ppf s spec =
   Format.fprintf ppf "@.process mapping (--map %s):@."
     (Mapping.kind_to_string spec.Mapping.kind);
   Format.fprintf ppf "  %-8s %12s %12s %8s %12s %12s %8s@." "model" "hop-bytes"
     "mapped" "gain" "cost" "cost+map" "gain_map";
   List.iter
-    (fun model ->
-      match Resopt.Cost.sim_vgrid model with
+    (fun c ->
+      match c.vol with
       | None ->
-        Format.fprintf ppf "  %-8s %12s@." model.Machine.Models.name
+        Format.fprintf ppf "  %-8s %12s@." c.model.Machine.Models.name
           "(no 2-D grid)"
-      | Some vgrid ->
-        let topo = model.Machine.Models.topo in
-        let layout = Distrib.Layout.all_cyclic 2 in
-        let place v = Distrib.Layout.place layout ~vgrid ~topo v in
-        let vol =
-          Resopt.Residual.volume_graph ~vgrid ~bytes:64 ~place
-            (Resopt.Residual.flows_of_plan r.Resopt.Pipeline.plan)
+      | Some vol ->
+        let topo = c.model.Machine.Models.topo in
+        let hb =
+          match spec.Mapping.kind with
+          | Mapping.Identity -> c.hb_identity
+          | Mapping.Greedy -> c.hb_greedy
+          | Mapping.Search ->
+            Mapping.hop_bytes topo vol (Mapping.compute spec topo vol)
         in
-        let n = Machine.Topology.size topo in
-        let perm = Mapping.compute spec topo vol in
-        let hb_id = Mapping.hop_bytes topo vol (Mapping.identity n) in
-        let hb = Mapping.hop_bytes topo vol perm in
-        let cost =
-          (Resopt.Cost.of_plan model r.Resopt.Pipeline.plan).Resopt.Cost.total
-        in
+        let cost = c.opt in
         let mapped =
-          (Resopt.Cost.of_plan ~mapping:spec model r.Resopt.Pipeline.plan)
-            .Resopt.Cost.total
+          (Resopt.Cost.of_plan ~mapping:spec c.model s.plan).Resopt.Cost.total
         in
         let gain num den = if den > 0.0 then num /. den else 1.0 in
         Format.fprintf ppf "  %-8s %12d %12d %7.2fx %12.1f %12.1f %7.2fx@."
-          model.Machine.Models.name hb_id hb
-          (gain (float_of_int hb_id) (float_of_int hb))
+          c.model.Machine.Models.name c.hb_identity hb
+          (gain (float_of_int c.hb_identity) (float_of_int hb))
           cost mapped (gain cost mapped))
-    models
+    s.on_models
 
 let render ?faults ?mapping ?topo ~m (w : Resopt.Workloads.t) =
+  let s = solved ?topo ~m w in
   let buf = Buffer.create 1024 in
+  Buffer.add_string buf s.head;
   let ppf = Format.formatter_of_buffer buf in
-  let r =
-    Resopt.Pipeline.run ~m ~schedule:w.Resopt.Workloads.schedule
-      w.Resopt.Workloads.nest
-  in
-  let models = models_of topo in
-  Format.fprintf ppf "%a@." Resopt.Pipeline.pp r;
-  Option.iter (mapping_block ppf ~models r) mapping;
-  Option.iter (resilience_block ppf ~models w m r) faults;
+  Option.iter (mapping_block ppf s) mapping;
+  Option.iter (resilience_block ppf s) faults;
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 

@@ -7,7 +7,22 @@
     served answer by diffing it against a local CLI invocation.  The
     rendering goes through a buffer formatter with the default margin —
     the same one [Format.printf] uses — so the two paths cannot
-    drift. *)
+    drift.
+
+    {!render} works in two stages.  The {e solved} stage depends only
+    on the workload, [m] and [topo]: the optimized plan, the Feautrier
+    baseline's plan, the rendered report, and per machine model the
+    unfaulted prices of both plans plus the residual volume graph with
+    its identity and greedy hop-bytes.  With the cache on it lives in
+    the [serve.solved] memo table (capacity 256, persisted by
+    {!Cache.save} like every table), so the many requests that differ
+    only in fault or mapping seeds solve once.  The {e per-request}
+    stage renders the optional mapping and resilience blocks from it,
+    computing only what a seed changes: faulted prices, and the
+    placement and mapped price of a [search] spec ([greedy] and
+    [identity] placements read no seed; their mapped prices hit
+    [cost.of_plan]).  With the cache off both stages run on every
+    call; the bytes are the same either way. *)
 
 val render :
   ?faults:Machine.Fault.t ->

@@ -314,8 +314,8 @@ let solve_batch t (batch : entry list) =
   List.iter (fun e -> observe_bounds e.req) runs;
   (* memo hits answer on the solver thread; distinct misses fan out
      over the pool (Par merges each worker's Obs capture back here at
-     join, and workers touch only the self-locking pricing and
-     validation tables, never the response memo) *)
+     join, and workers touch only the self-locking solved, pricing
+     and validation tables, never the response memo) *)
   let hits, misses = List.partition (fun e -> Cache.Memo.mem memo e.key) runs in
   let hit_results =
     List.map

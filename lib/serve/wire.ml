@@ -86,7 +86,8 @@ let decode_request s =
           | "workload" -> go { acc with workload = v } tl
           | "m" ->
             let* n = int_of k v in
-            go { acc with m = n } tl
+            if n < 1 then Error (Printf.sprintf "m must be >= 1: %d" n)
+            else go { acc with m = n } tl
           | "faults" -> go { acc with faults = Some v } tl
           | "fseed" ->
             let* n = int_of k v in

@@ -21,7 +21,7 @@ type op = Run | Ping | Stats
 type request = {
   op : op;
   workload : string;  (** workload name; [""] for [Ping] / [Stats] *)
-  m : int;  (** virtual grid dimension (default 2, like the CLI) *)
+  m : int;  (** virtual grid dimension, >= 1 (default 2, like the CLI) *)
   faults : string option;  (** fault spec in {!Machine.Fault.parse} grammar *)
   fseed : int;  (** fault schedule seed *)
   map : string option;  (** mapping kind: [greedy] or [search] *)
@@ -42,8 +42,8 @@ val encode_request : request -> string
 
 val decode_request : string -> (request, string) result
 (** Strict inverse of {!encode_request} (unknown keys, bad integers, a
-    missing workload on [Run], or a foreign version line are [Error]).
-    Never raises. *)
+    grid dimension [m < 1], a missing workload on [Run], or a foreign
+    version line are [Error]).  Never raises. *)
 
 val solve_key : request -> string
 (** The canonical identity of the {e solve} a request asks for — its

@@ -237,6 +237,106 @@ let test_undecodable_section_counted () =
     (Cache.Memo.mem persist "good")
 
 (* ------------------------------------------------------------------ *)
+(* The cost.of_plan key                                                *)
+(* ------------------------------------------------------------------ *)
+
+let example1_plan () =
+  let w = Resopt.Workloads.find "example1" in
+  (Resopt.Pipeline.run ~m:2 ~schedule:w.Resopt.Workloads.schedule
+     w.Resopt.Workloads.nest)
+    .Resopt.Pipeline.plan
+
+(* Only [Search] reads a mapping spec's seed and restarts, so only its
+   pricings key on them: greedy or identity under sixteen seeds is one
+   entry with one breakdown, while search seeds stay apart. *)
+let test_cost_key_seed_free_kinds () =
+  let plan = example1_plan () and cm5 = Machine.Models.cm5 () in
+  let price spec = Resopt.Cost.of_plan ~mapping:spec cm5 plan in
+  fresh @@ fun () ->
+  List.iter
+    (fun kind ->
+      let before = (Cache.stats ()).Cache.entries in
+      let first = price (Mapping.spec ~seed:0 kind) in
+      for seed = 1 to 15 do
+        Alcotest.(check bool)
+          (Printf.sprintf "%s seed %d: same breakdown" (Mapping.kind_to_string kind) seed)
+          true
+          (price (Mapping.spec ~seed kind) = first)
+      done;
+      Alcotest.(check int)
+        (Mapping.kind_to_string kind ^ ": one entry for sixteen seeds")
+        (before + 1)
+        (Cache.stats ()).Cache.entries)
+    [ Mapping.Greedy; Mapping.Identity ];
+  let before = (Cache.stats ()).Cache.entries in
+  for seed = 0 to 3 do
+    ignore (price (Mapping.spec ~seed ~restarts:1 Mapping.Search) : Resopt.Cost.breakdown)
+  done;
+  Alcotest.(check int) "search: one entry per seed" (before + 4)
+    (Cache.stats ()).Cache.entries
+
+(* The cost.of_plan section of a saved file, with [schema] and every
+   value replaced by [poison]. *)
+let relabelled_cost_section file ~schema poison =
+  let payload =
+    In_channel.with_open_bin file @@ fun ic ->
+    ignore (input_line ic : string);
+    ignore (input_line ic : string);
+    In_channel.input_all ic
+  in
+  List.filter_map
+    (fun (sec : fake_section) ->
+      if sec.p_name <> "cost.of_plan" then None
+      else
+        Some
+          {
+            sec with
+            p_schema = schema;
+            p_pairs = List.map (fun (k, _) -> (k, Marshal.to_string poison [])) sec.p_pairs;
+          })
+    (Marshal.from_string payload 0 : fake_section list)
+
+(* A v2 snapshot keyed a mapping-free pricing exactly as v3 does; its
+   section must still load cold (skipped, not absorbed) and must not
+   count as corruption.  The same section relabelled v3 is absorbed,
+   which shows the keys would have matched. *)
+let test_cost_v2_section_loads_cold () =
+  let plan = example1_plan () and cm5 = Machine.Models.cm5 () in
+  let file = temp_file () in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove file;
+      Obs.reset ();
+      Obs.disable ())
+  @@ fun () ->
+  let real =
+    fresh (fun () ->
+        let b = Resopt.Cost.of_plan cm5 plan in
+        Cache.save file;
+        b)
+  in
+  let poison = { real with Resopt.Cost.total = -1.0 } in
+  let load_as schema =
+    let sections = relabelled_cost_section file ~schema poison in
+    let relabelled = temp_file () in
+    Fun.protect ~finally:(fun () -> Sys.remove relabelled) @@ fun () ->
+    write_cache_file relabelled sections;
+    fresh @@ fun () ->
+    Obs.enable ();
+    Obs.reset ();
+    Alcotest.(check bool) (schema ^ " file loads") true (Cache.load relabelled);
+    Alcotest.(check int) (schema ^ ": not corrupt") 0 (Obs.counter "cache.load_corrupt");
+    let entries = (Cache.stats ()).Cache.entries in
+    (entries, Resopt.Cost.of_plan cm5 plan)
+  in
+  let entries, priced = load_as "v2" in
+  Alcotest.(check int) "v2 section skipped" 0 entries;
+  Alcotest.(check bool) "v2: priced afresh" true (priced = real);
+  let entries, priced = load_as "v3" in
+  Alcotest.(check int) "v3 section absorbed" 1 entries;
+  Alcotest.(check bool) "v3: served from the file" true (priced = poison)
+
+(* ------------------------------------------------------------------ *)
 (* Differential properties: cached = uncached, everywhere              *)
 (* ------------------------------------------------------------------ *)
 
@@ -407,6 +507,13 @@ let () =
             test_stale_sections_skipped;
           Alcotest.test_case "undecodable section counted" `Quick
             test_undecodable_section_counted;
+        ] );
+      ( "cost-key",
+        [
+          Alcotest.test_case "seed-free placements share an entry" `Quick
+            test_cost_key_seed_free_kinds;
+          Alcotest.test_case "v2 section loads cold" `Quick
+            test_cost_v2_section_loads_cold;
         ] );
       ( "differential",
         [

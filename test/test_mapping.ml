@@ -450,6 +450,14 @@ let test_served_mapping_golden () =
       | _ -> Alcotest.failf "malformed golden line %S" line)
     lines
 
+(* the same digests through the solved-stage cache: cold, then warm *)
+let test_served_mapping_golden_cached () =
+  Cache.clear ();
+  Fun.protect ~finally:Cache.clear @@ fun () ->
+  Cache.scoped ~enable:true (fun () ->
+      test_served_mapping_golden ();
+      test_served_mapping_golden ())
+
 (* ------------------------------------------------------------------ *)
 (* Zero-cost and no-harm guarantees of the ?mapping hooks              *)
 (* ------------------------------------------------------------------ *)
@@ -560,6 +568,8 @@ let () =
           Alcotest.test_case "2x2 grid optimum" `Quick test_grid_golden;
           Alcotest.test_case "served mapping block digests" `Quick
             test_served_mapping_golden;
+          Alcotest.test_case "served mapping block digests, cache cold and warm" `Quick
+            test_served_mapping_golden_cached;
         ] );
       ( "oracle",
         [

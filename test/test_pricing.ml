@@ -472,6 +472,14 @@ let test_served_resilience_golden () =
       | _ -> Alcotest.failf "malformed golden line %S" line)
     lines
 
+(* the same digests through the solved-stage cache: cold, then warm *)
+let test_served_resilience_golden_cached () =
+  Cache.clear ();
+  Fun.protect ~finally:Cache.clear @@ fun () ->
+  Cache.scoped ~enable:true (fun () ->
+      test_served_resilience_golden ();
+      test_served_resilience_golden ())
+
 let () =
   Alcotest.run "pricing"
     [
@@ -486,5 +494,7 @@ let () =
         [
           Alcotest.test_case "served resilience block digests" `Quick
             test_served_resilience_golden;
+          Alcotest.test_case "served resilience block digests, cache cold and warm" `Quick
+            test_served_resilience_golden_cached;
         ] );
     ]

@@ -106,6 +106,19 @@ let test_wire_request_rejects () =
   bad "resopt-serve/1\nop=run\nworkload=x\nm=wat\n";
   bad "resopt-serve/1\nop=run\nworkload=x\nfrobnicate=1\n"
 
+(* a grid needs at least one dimension: m < 1 is a decode error naming
+   m, not a solver exception *)
+let test_wire_rejects_m_below_one () =
+  List.iter
+    (fun m ->
+      match Wire.decode_request (Wire.encode_request (Wire.run ~m "example1")) with
+      | Ok _ -> Alcotest.failf "accepted m=%d" m
+      | Error e -> Alcotest.(check string) "names m" (Printf.sprintf "m must be >= 1: %d" m) e)
+    [ 0; -1 ];
+  match Wire.decode_request (Wire.encode_request (Wire.run ~m:1 "example1")) with
+  | Ok r -> Alcotest.(check int) "m=1 accepted" 1 r.Wire.m
+  | Error e -> Alcotest.fail e
+
 let test_wire_response_roundtrip () =
   List.iter
     (fun r ->
@@ -432,6 +445,14 @@ let test_server_concurrent_clients () =
       | None -> Alcotest.fail "client never finished")
     expected
 
+let test_server_rejects_m0 () =
+  with_server @@ fun t ->
+  let c = must_connect t in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  match must_request c (Wire.run ~m:0 "example1") with
+  | Wire.Failed msg -> Alcotest.(check string) "structured error" "m must be >= 1: 0" msg
+  | r -> Alcotest.fail ("expected Failed, got " ^ Wire.status r)
+
 let test_server_drain_refuses_new_work () =
   let t = local_server () in
   let addr = Server.address t in
@@ -477,6 +498,117 @@ let test_server_snapshot_restart_warm () =
         (entries_after_load > 0);
       Alcotest.(check string) "warm restart serves identical bytes" a b)
 
+(* ------------------------------------------------------------------ *)
+(* The solved stage: cache on = cache off                              *)
+(* ------------------------------------------------------------------ *)
+
+let body r = match Answer.of_request r with Ok s -> s | Error e -> Alcotest.fail e
+
+(* the body of every distinct solve key of [reqs], first-seen order,
+   from an empty cache left on ([true]) or off *)
+let bodies ~cache reqs =
+  let seen = Hashtbl.create 512 in
+  Cache.clear ();
+  Fun.protect ~finally:Cache.clear @@ fun () ->
+  Cache.scoped ~enable:cache @@ fun () ->
+  List.filter_map
+    (fun r ->
+      let k = Wire.solve_key r in
+      if Hashtbl.mem seen k then None
+      else begin
+        Hashtbl.add seen k ();
+        Some (k, body r)
+      end)
+    reqs
+
+(* most keys of a mix share their (workload, m) with an earlier one, so
+   the cached pass answers them from a warm solved entry *)
+let test_solved_mix_differential () =
+  List.iter
+    (fun seed ->
+      let reqs = Loadgen.mix ~seed ~n:500 () in
+      let off = bodies ~cache:false reqs and on = bodies ~cache:true reqs in
+      Alcotest.(check int) "same keys" (List.length off) (List.length on);
+      List.iter2
+        (fun (k, a) (_, b) -> Alcotest.(check string) k a b)
+        off on)
+    [ 1; 7; 42 ]
+
+(* a topology keys its own solved entry: rendering the historical
+   machines first must not leak into the one-topology answer *)
+let test_solved_topo_differential () =
+  let topo =
+    match Machine.Topology.of_string "fattree:3:4" with
+    | Ok t -> t
+    | Error e -> Alcotest.fail e
+  in
+  let faults =
+    match Machine.Fault.parse "flaky:0.05" with
+    | Ok specs -> Machine.Fault.make ~seed:5 specs
+    | Error e -> Alcotest.fail e
+  in
+  let mapping = Mapping.spec Mapping.Greedy in
+  let w = Resopt.Workloads.find "example1" in
+  let render ?topo () = Answer.render ~faults ~mapping ?topo ~m:2 w in
+  let off = Cache.scoped ~enable:false (fun () -> render ~topo ()) in
+  Cache.clear ();
+  Fun.protect ~finally:Cache.clear @@ fun () ->
+  Cache.scoped ~enable:true @@ fun () ->
+  ignore (render () : string);
+  Alcotest.(check string) "cold" off (render ~topo ());
+  Alcotest.(check string) "warm" off (render ~topo ())
+
+(* four domains miss on the same three solved keys at once; every
+   body must still be the cache-off one *)
+let test_solved_concurrent_misses () =
+  let reqs =
+    List.init 48 (fun i ->
+        Wire.run ~m:2 ~faults:"flaky:0.05" ~fseed:(i / 3) ~map:"greedy" ~mseed:i
+          (List.nth [ "example1"; "transpose"; "matmul" ] (i mod 3)))
+  in
+  let off = Cache.scoped ~enable:false (fun () -> List.map body reqs) in
+  Cache.clear ();
+  Fun.protect ~finally:Cache.clear @@ fun () ->
+  let on =
+    Cache.scoped ~enable:true (fun () ->
+        Par.Pool.with_pool ~jobs:4 ~oversubscribe:true (fun pool ->
+            Par.map pool body reqs))
+  in
+  List.iteri
+    (fun i (a, b) -> Alcotest.(check string) (Printf.sprintf "request %d" i) a b)
+    (List.combine off on)
+
+(* ------------------------------------------------------------------ *)
+(* CLI: m < 1 is a usage error                                         *)
+(* ------------------------------------------------------------------ *)
+
+let cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/resopt_cli.exe"
+
+(* exit status and combined stdout/stderr of one CLI invocation *)
+let cli_output args =
+  let out = Filename.temp_file "resopt_cli" ".out" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
+    (fun () ->
+      let rc =
+        Sys.command
+          (Printf.sprintf "%s %s > %s 2>&1" (Filename.quote cli) args (Filename.quote out))
+      in
+      (rc, In_channel.with_open_bin out In_channel.input_all))
+
+let test_cli_rejects_m_below_one () =
+  List.iter
+    (fun args ->
+      let rc, out = cli_output args in
+      Alcotest.(check int) (args ^ ": usage error") 124 rc;
+      Alcotest.(check bool) (args ^ ": names the grid dimension") true
+        (match Str.search_forward (Str.regexp_string "grid dimension") out 0 with
+        | _ -> true
+        | exception Not_found -> false))
+    [ "run example1 -m 0"; "run example1 -m-2"; "sweep --ms 0"; "sweep --ms 1,0" ];
+  let rc, _ = cli_output "run example1 -m 1" in
+  Alcotest.(check int) "run -m 1 still works" 0 rc
+
 let () =
   Alcotest.run "serve"
     [
@@ -499,6 +631,8 @@ let () =
           Alcotest.test_case "request rejects" `Quick test_wire_request_rejects;
           Alcotest.test_case "response roundtrip" `Quick
             test_wire_response_roundtrip;
+          Alcotest.test_case "request rejects m < 1" `Quick
+            test_wire_rejects_m_below_one;
         ] );
       ( "backoff",
         [
@@ -536,5 +670,17 @@ let () =
             test_server_snapshot_restart_warm;
           Alcotest.test_case "stats bounds_failed=0" `Quick
             test_server_bounds_failed_zero;
+          Alcotest.test_case "m=0 answered with an error" `Quick
+            test_server_rejects_m0;
         ] );
+      ( "solved",
+        [
+          Alcotest.test_case "mix bodies: cache on = off" `Quick
+            test_solved_mix_differential;
+          Alcotest.test_case "topology keys its own entry" `Quick
+            test_solved_topo_differential;
+          Alcotest.test_case "concurrent misses on one key" `Quick
+            test_solved_concurrent_misses;
+        ] );
+      ("cli", [ Alcotest.test_case "m < 1 rejected" `Quick test_cli_rejects_m_below_one ]);
     ]
