@@ -229,6 +229,20 @@ module Memo = struct
         v
     end
 
+  (* A hit costs one lock and never touches Obs, so threads other than
+     the Obs owner may call it; a miss is counted by the
+     [find_or_compute] that later fills the key. *)
+  let find_opt l key =
+    if not !enabled_flag then None
+    else
+      locked l @@ fun () ->
+      match Hashtbl.find_opt l.tbl key with
+      | Some n ->
+        l.s_hits <- l.s_hits + 1;
+        touch l n;
+        Some n.nvalue
+      | None -> None
+
   let mem l key = locked l (fun () -> Hashtbl.mem l.tbl key)
   let length l = locked l (fun () -> Hashtbl.length l.tbl)
   let capacity l = l.capacity

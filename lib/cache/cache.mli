@@ -79,7 +79,8 @@ val clear : unit -> unit
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 (** Tallies of one table, or of all of them.  [entries] is the
     current size; the counters are cumulative since the last {!clear}.
-    When recording is on ({!Obs.enabled}), every lookup also feeds the
+    When recording is on ({!Obs.enabled}), every
+    {!Memo.find_or_compute} lookup also feeds the
     [cache.lookups] / [cache.hits] / [cache.misses] /
     [cache.evictions] counters, which {!Par} merges across workers
     like any other metric — after a parallel run,
@@ -106,13 +107,22 @@ module Memo : sig
       and stale persisted sections are skipped on load. *)
 
   val find_or_compute : 'a t -> key:string -> (unit -> 'a) -> 'a
-  (** The only lookup.  With the cache disabled this is just the
+  (** The computing lookup.  With the cache disabled this is just the
       thunk.  Enabled: return the cached value for [key] (refreshing
       its recency) or run the thunk, store the result and return it —
       evicting the least-recently-used entry if the table is full.
       The thunk runs outside the table's lock, so domains that miss on
       the same key at once each compute it and the first insert wins.
       If the thunk raises, nothing is stored. *)
+
+  val find_opt : 'a t -> string -> 'a option
+  (** A lookup that never computes: [Some v] for a cached [key]
+      (refreshing its recency and counting a hit in the table's own
+      {!stats}), [None] when absent or the cache is disabled.  It takes
+      only the table's lock and never touches {!Obs} — no counter, not
+      even on a hit — so a thread that must leave Obs alone (the serve
+      daemon's connection threads) can call it.  A miss is not
+      counted: the {!find_or_compute} that fills the key counts it. *)
 
   val mem : 'a t -> string -> bool
   (** No recency update, no counters. *)

@@ -101,9 +101,11 @@ let entry_cost ~faults ?remap model ~bytes (e : Commplan.entry) =
 (* Schema v2: the topology joins the key through its spec grammar
    (mesh/torus/fattree/dragonfly) instead of bare grid extents.  v3:
    a mapping spec's seed and restarts join the key only for [Search].
-   Older disk snapshots simply start cold. *)
+   v4: the fault schedule joins through [Fault.pricing_key], without
+   the seed, which no pricing formula reads.  Older disk snapshots
+   simply start cold. *)
 let memo : breakdown Cache.Memo.t =
-  Cache.Memo.create ~name:"cost.of_plan" ~schema:"v3" ()
+  Cache.Memo.create ~name:"cost.of_plan" ~schema:"v4" ()
 
 let model_key (model : Machine.Models.t) =
   let topo = model.Machine.Models.topo in
@@ -115,13 +117,6 @@ let model_key (model : Machine.Models.t) =
     | None -> "sw"
     | Some { Machine.Models.coll_alpha; coll_beta } ->
       Printf.sprintf "hw:%h,%h" coll_alpha coll_beta)
-
-let faults_key f =
-  if Machine.Fault.is_none f then "none"
-  else
-    Printf.sprintf "%d/%d/%s" (Machine.Fault.seed f)
-      (Machine.Fault.max_retries f)
-      (Machine.Fault.to_string (Machine.Fault.specs f))
 
 let entry_key (e : Commplan.entry) =
   let class_part =
@@ -155,8 +150,8 @@ let mapping_key = function
   | Some (s : Mapping.spec) -> "|map:" ^ Mapping.kind_to_string s.Mapping.kind
 
 let plan_key ?mapping ~bytes ~faults model plan =
-  Printf.sprintf "%s|b%d|f%s%s|%s" (model_key model) bytes (faults_key faults)
-    (mapping_key mapping)
+  Printf.sprintf "%s|b%d|f%s%s|%s" (model_key model) bytes
+    (Machine.Fault.pricing_key faults) (mapping_key mapping)
     (String.concat ";" (List.map entry_key plan))
 
 (* The placement a mapping spec picks for this (model, plan) pair: the

@@ -38,7 +38,9 @@ val of_plan :
     the ambient state).  A whole breakdown is memoized under a key
     covering every input the formulas read — machine name, grid,
     network parameters, hardware collectives, [bytes], the fault
-    schedule, the mapping kind (plus seed and restarts, which only a
+    schedule's {!Machine.Fault.pricing_key} (specs and retry cap; the
+    fault seed is not read, so schedules differing only in seed share
+    an entry), the mapping kind (plus seed and restarts, which only a
     [Search] placement reads) and each entry's priced
     classification — so a sweep that
     re-prices the same (model, plan) cell hits instead of re-running

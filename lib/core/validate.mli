@@ -27,8 +27,11 @@ type violation = { stmt : string; label : string; reason : string }
 
 val check : Pipeline.result -> violation list
 (** Empty list = the plan is consistent with the brute-force
-    enumeration.  Statements whose iteration domain exceeds
-    [~max_points] (default 4096) are subsampled deterministically. *)
+    enumeration.  Each statement's domain is enumerated with every
+    extent capped at 6, so at most [6^d] points for a depth-[d] nest;
+    the pairwise conditions (broadcast, reduction, scatter/gather) are
+    quadratic scans over those points, with an algebraic fallback when
+    the capped domain holds no witnessing pair. *)
 
 val is_valid : Pipeline.result -> bool
 

@@ -258,6 +258,20 @@ let to_string specs = String.concat ";" (List.map spec_to_string specs)
 
 let label t = if is_none t then "" else to_string t.specs
 
+(* Exact floats (%h), not the grammar's %g: two probabilities that
+   print alike must still key apart. *)
+let pricing_key t =
+  if is_none t then "none"
+  else
+    let link_key = function None -> "*" | Some (a, b) -> Printf.sprintf "%d-%d" a b in
+    let spec_key = function
+      | Flaky { link; prob } -> Printf.sprintf "flaky:%s:%h" (link_key link) prob
+      | Degraded { link; factor } ->
+        Printf.sprintf "degrade:%s:%h" (link_key link) factor
+      | s -> spec_to_string s
+    in
+    Printf.sprintf "%d/%s" t.max_retries (String.concat ";" (List.map spec_key t.specs))
+
 (* ------------------------------------------------------------------ *)
 (* Random schedules for chaos testing                                  *)
 (* ------------------------------------------------------------------ *)

@@ -102,6 +102,13 @@ val label : t -> string
 (** The model's spec grammar string, [""] for {!none} — the fault tag
     telemetry runs carry. *)
 
+val pricing_key : t -> string
+(** A canonical encoding of what closed-form and {!Netsim} pricing
+    read from the model: the specs (probabilities and factors exact)
+    and [max_retries].  It never covers the seed, [ack_timeout] or
+    [backoff_cap], which only {!drops} and {!backoff} read — so models
+    that differ only in those share a key.  ["none"] for {!none}. *)
+
 (** {1 Queries} *)
 
 val node_dead : t -> int -> bool

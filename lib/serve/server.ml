@@ -1,14 +1,18 @@
 (* The serving loop.  Threading rules, which every edit must keep:
 
-   - Only the solver thread touches Obs, Par or the response memo.
-     Obs keeps its state in Domain.DLS, which all systhreads of the
-     domain SHARE — two threads mutating its hashtables would corrupt
-     them.  Cache tables lock themselves, but keeping the response
-     memo on one thread is what makes its mem-then-lookup in
-     [solve_batch] a single step.
+   - Only the solver thread touches Obs or Par, computes answers and
+     inserts into the response memo.  Obs keeps its state in
+     Domain.DLS, which all systhreads of the domain SHARE — two
+     threads mutating its hashtables would corrupt them.
    - Connection threads only use: the server mutex (queue, counters,
-     waiter lists), their own socket, their own waiter pipe, and pure
-     code.
+     waiter lists, inline tallies), their own socket, their own waiter
+     pipe, pure code, and [Cache.Memo.find_opt] on the response memo,
+     which takes the table's own lock and never touches Obs.
+   - A response-memo hit is answered on its connection thread.  What
+     Obs would record for it — a [serve.latency_ms] sample, a
+     (workload, m) pair not yet bounded — waits in the inline tallies
+     under the server mutex; the solver folds them into Obs before it
+     mirrors counters or renders stats.
    - Signal handlers only flip an atomic; every blocking wait is a
      select with a short timeout, so the flag is noticed promptly. *)
 
@@ -42,6 +46,7 @@ type counters = {
   mutable c_shed : int;
   mutable c_timeout : int;
   mutable c_coalesced : int;
+  mutable c_conn_failed : int;
 }
 
 type t = {
@@ -54,14 +59,23 @@ type t = {
   inflight : (string, entry) Hashtbl.t;
   ctrs : counters;
   mutable stats_serial : int;
+  memo : string Cache.Memo.t;  (* the response memo *)
+  bounded : (string * int, unit) Hashtbl.t;
+      (* (workload, m) pairs already handed to [observe_bounds] *)
+  mutable inline_ms : float list;  (* inline latency samples, newest first *)
+  mutable unbounded : (string * int) list;  (* pairs awaiting [observe_bounds] *)
   wake_r : Unix.file_descr;  (* solver wakeup pipe *)
   wake_w : Unix.file_descr;
-  mutable mirrored : int * int * int * int * int * int;
+  mutable mirrored : counters;
       (* counter values already folded into Obs (solver thread only) *)
   mutable conns : Thread.t list;
   mutable solver : Thread.t option;
   mutable acceptor : Thread.t option;
 }
+
+let zero_counters () =
+  { c_requests = 0; c_ok = 0; c_errors = 0; c_shed = 0; c_timeout = 0;
+    c_coalesced = 0; c_conn_failed = 0 }
 
 let address t = t.bound
 let stopping t = Atomic.get t.stop_flag
@@ -94,25 +108,40 @@ let wake t = ignore_unix (fun () -> ignore (Unix.write t.wake_w (Bytes.make 1 '!
 
 type admitted = Entry of entry | Refused of Wire.response
 
-let admit t (req : Wire.request) =
-  let key =
-    match req.op with
-    | Wire.Stats ->
-      (* stats are answered by the solver too (it owns the metrics),
-         but each request is its own entry — never coalesced, never
-         memoized *)
-      locked t (fun () ->
-          t.stats_serial <- t.stats_serial + 1;
-          Printf.sprintf "#stats/%d" t.stats_serial)
-    | _ -> Wire.solve_key req
-  in
-  locked t @@ fun () ->
+(* A (workload, m) pair the bounds have not seen joins [unbounded],
+   once per server.  Caller holds the server mutex. *)
+let note_pair t (req : Wire.request) =
+  if req.Wire.op = Wire.Run then begin
+    let pair = (req.Wire.workload, req.Wire.m) in
+    if not (Hashtbl.mem t.bounded pair) then begin
+      Hashtbl.add t.bounded pair ();
+      t.unbounded <- pair :: t.unbounded
+    end
+  end
+
+(* Counts the request; [Some] refusal once the drain has begun.
+   Caller holds the server mutex: the flag is read under the lock the
+   solver's final drain takes, so nothing is accepted after it. *)
+let refuse_if_stopping t =
   t.ctrs.c_requests <- t.ctrs.c_requests + 1;
   if Atomic.get t.stop_flag then begin
     t.ctrs.c_shed <- t.ctrs.c_shed + 1;
-    Refused (Wire.Shed "shutting down")
+    Some (Wire.Shed "shutting down")
   end
-  else
+  else None
+
+(* stats are answered by the solver too (it owns the metrics), but
+   each request is its own entry — never coalesced, never memoized *)
+let stats_key t =
+  locked t (fun () ->
+      t.stats_serial <- t.stats_serial + 1;
+      Printf.sprintf "#stats/%d" t.stats_serial)
+
+let admit t (req : Wire.request) key =
+  locked t @@ fun () ->
+  match refuse_if_stopping t with
+  | Some resp -> Refused resp
+  | None -> (
     match Hashtbl.find_opt t.inflight key with
     | Some e ->
       t.ctrs.c_coalesced <- t.ctrs.c_coalesced + 1;
@@ -130,9 +159,24 @@ let admit t (req : Wire.request) =
         in
         Hashtbl.replace t.inflight key e;
         Queue.add e t.queue;
+        note_pair t req;
         wake t;
         Entry e
-      end
+      end)
+
+(* A response-memo hit, answered on the connection thread: the
+   counters move as [finish] would move them, and the latency sample
+   and any new (workload, m) pair wait for the solver to fold them
+   into Obs. *)
+let answer_inline t (req : Wire.request) ~t0 body =
+  locked t @@ fun () ->
+  match refuse_if_stopping t with
+  | Some resp -> resp
+  | None ->
+    t.ctrs.c_ok <- t.ctrs.c_ok + 1;
+    t.inline_ms <- ((Unix.gettimeofday () -. t0) *. 1000.0) :: t.inline_ms;
+    note_pair t req;
+    Wire.Answer body
 
 (* Wait for [e] to complete, bounded by the request's deadline.  The
    waiter registers a pipe; the solver writes one byte per waiter at
@@ -179,22 +223,31 @@ let await t (e : entry) deadline_ms =
 (* Connection threads                                                  *)
 (* ------------------------------------------------------------------ *)
 
+let queued t (req : Wire.request) key =
+  match admit t req key with
+  | Refused resp -> resp
+  | Entry e ->
+    let deadline =
+      match req.Wire.deadline_ms with
+      | Some d -> Some d
+      | None -> if t.cfg.deadline_ms > 0 then Some t.cfg.deadline_ms else None
+    in
+    await t e deadline
+
+(* Memo hits are answered here; misses and stats go to the solver. *)
 let handle_request t payload =
   match Wire.decode_request payload with
   | Error msg -> Wire.Failed msg
   | Ok req -> (
     match req.Wire.op with
     | Wire.Ping -> Wire.Answer "pong"
-    | Wire.Run | Wire.Stats -> (
-      match admit t req with
-      | Refused resp -> resp
-      | Entry e ->
-        let deadline =
-          match req.Wire.deadline_ms with
-          | Some d -> Some d
-          | None -> if t.cfg.deadline_ms > 0 then Some t.cfg.deadline_ms else None
-        in
-        await t e deadline))
+    | Wire.Stats -> queued t req (stats_key t)
+    | Wire.Run -> (
+      let key = Wire.solve_key req in
+      let t0 = Unix.gettimeofday () in
+      match if stopping t then None else Cache.Memo.find_opt t.memo key with
+      | Some body -> answer_inline t req ~t0 body
+      | None -> queued t req key))
 
 let conn_loop t fd =
   let rec loop () =
@@ -219,7 +272,11 @@ let conn_loop t fd =
         in
         if ok then loop ()
   in
-  (try loop () with _ -> ());
+  (try loop () with
+  | Unix.Unix_error _ -> () (* the peer went away *)
+  | e ->
+    locked t (fun () -> t.ctrs.c_conn_failed <- t.ctrs.c_conn_failed + 1);
+    Printf.eprintf "resopt serve: connection failed: %s\n%!" (Printexc.to_string e));
   ignore_unix (fun () -> Unix.close fd);
   let me = Thread.id (Thread.self ()) in
   locked t (fun () ->
@@ -229,58 +286,68 @@ let conn_loop t fd =
 (* Solver thread                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let read_counters t =
-  locked t (fun () ->
-      let c = t.ctrs in
-      (c.c_requests, c.c_ok, c.c_errors, c.c_shed, c.c_timeout, c.c_coalesced))
+(* A copy of the mutex-guarded counters. *)
+let read_counters t = locked t (fun () -> { t.ctrs with c_requests = t.ctrs.c_requests })
+
+(* Achieved-vs-bound efficiency of a (workload, m) pair this server has
+   answered, for the stats answer.  Solver thread only; [note_pair]
+   hands each pair over once per server — the bound is fault- and
+   placement-independent here (reference machine, fixed embedding), so
+   repeated solves of the same pair feed the bounds.* counters exactly
+   once.  A bound that raises counts in [bounds.failed] (the stats
+   answer shows it) rather than vanishing; the served answer itself is
+   unaffected. *)
+let observe_bounds (name, m) =
+  match Resopt.Workloads.find name with
+  | exception Not_found -> ()
+  | w -> (
+    match Resopt.Efficiency.of_workload ~m (Machine.Models.paragon ()) w with
+    | (_ : Resopt.Efficiency.t option) -> ()
+    | exception _ -> Obs.incr "bounds.failed")
+
+(* Fold the inline tallies into Obs: latency samples of the hits
+   answered on connection threads, and the pairs not yet bounded.
+   Solver thread only. *)
+let absorb_inline t =
+  let samples, pairs =
+    locked t (fun () ->
+        let taken = (t.inline_ms, t.unbounded) in
+        t.inline_ms <- [];
+        t.unbounded <- [];
+        taken)
+  in
+  List.iter (Obs.observe "serve.latency_ms") (List.rev samples);
+  List.iter observe_bounds (List.rev pairs)
 
 (* Mirror the mutex-guarded counters into Obs (additively, via deltas)
    so --stats-style tooling sees serve.* next to cache.*.  Solver
    thread only. *)
 let mirror_counters t =
-  let ((r, o, e, s, ti, co) as now) = read_counters t in
-  let (r', o', e', s', ti', co') = t.mirrored in
-  Obs.incr ~by:(r - r') "serve.requests";
-  Obs.incr ~by:(o - o') "serve.ok";
-  Obs.incr ~by:(e - e') "serve.errors";
-  Obs.incr ~by:(s - s') "serve.shed";
-  Obs.incr ~by:(ti - ti') "serve.timeout";
-  Obs.incr ~by:(co - co') "serve.coalesced";
+  absorb_inline t;
+  let now = read_counters t and was = t.mirrored in
+  let delta name f = Obs.incr ~by:(f now - f was) name in
+  delta "serve.requests" (fun c -> c.c_requests);
+  delta "serve.ok" (fun c -> c.c_ok);
+  delta "serve.errors" (fun c -> c.c_errors);
+  delta "serve.shed" (fun c -> c.c_shed);
+  delta "serve.timeout" (fun c -> c.c_timeout);
+  delta "serve.coalesced" (fun c -> c.c_coalesced);
+  delta "serve.conn_failed" (fun c -> c.c_conn_failed);
   t.mirrored <- now
 
-(* Achieved-vs-bound efficiency of the workloads this server has
-   solved, for the stats answer.  Solver thread only; memoized per
-   (workload, m) — the bound is fault- and placement-independent here
-   (reference machine, fixed embedding), so repeated solves of the
-   same pair feed the bounds.* counters exactly once.  A bound that
-   raises counts in [bounds.failed] (the stats answer shows it) rather
-   than vanishing; the served answer itself is unaffected. *)
-let eff_memo : (string * int, unit) Hashtbl.t = Hashtbl.create 16
-
-let observe_bounds (req : Wire.request) =
-  let key = (req.Wire.workload, req.Wire.m) in
-  if not (Hashtbl.mem eff_memo key) then
-    match Resopt.Workloads.find req.Wire.workload with
-    | exception Not_found -> ()
-    | w ->
-      Hashtbl.add eff_memo key ();
-      match
-        Resopt.Efficiency.of_workload ~m:req.Wire.m (Machine.Models.paragon ()) w
-      with
-      | (_ : Resopt.Efficiency.t option) -> ()
-      | exception _ -> Obs.incr "bounds.failed"
-
 let render_stats t =
-  let requests, ok, errors, shed, timeout, coalesced = read_counters t in
+  absorb_inline t;
+  let c = read_counters t in
   let cs = Cache.stats () in
   let b = Buffer.create 256 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
-  line "requests=%d" requests;
-  line "ok=%d" ok;
-  line "errors=%d" errors;
-  line "shed=%d" shed;
-  line "timeout=%d" timeout;
-  line "coalesced=%d" coalesced;
+  line "requests=%d" c.c_requests;
+  line "ok=%d" c.c_ok;
+  line "errors=%d" c.c_errors;
+  line "shed=%d" c.c_shed;
+  line "timeout=%d" c.c_timeout;
+  line "coalesced=%d" c.c_coalesced;
+  line "conn_failed=%d" c.c_conn_failed;
   line "queue_depth=%d" (locked t (fun () -> Queue.length t.queue));
   (match Obs.histogram_percentiles "serve.latency_ms" with
   | Some (p50, p95, p99) ->
@@ -305,23 +372,21 @@ let render_stats t =
   Buffer.contents b
 
 let solve_batch t (batch : entry list) =
-  let memo = Lazy.force response_memo in
   let runs, stats_es =
     List.partition (fun e -> e.req.Wire.op = Wire.Run) batch
   in
-  (* bound every solved (workload, m) once, so stats answers carry
-     efficiency next to the latency percentiles *)
-  List.iter (fun e -> observe_bounds e.req) runs;
-  (* memo hits answer on the solver thread; distinct misses fan out
-     over the pool (Par merges each worker's Obs capture back here at
-     join, and workers touch only the self-locking solved, pricing
-     and validation tables, never the response memo) *)
-  let hits, misses = List.partition (fun e -> Cache.Memo.mem memo e.key) runs in
-  let hit_results =
-    List.map
+  (* a key filled since its request was admitted answers from the
+     memo; distinct misses fan out over the pool (Par merges each
+     worker's Obs capture back here at join, and workers touch only
+     the self-locking solved, pricing and validation tables, never the
+     response memo) *)
+  let hit_results, misses =
+    List.partition_map
       (fun e ->
-        (e, Ok (Cache.Memo.find_or_compute memo ~key:e.key (fun () -> ""))))
-      hits
+        match Cache.Memo.find_opt t.memo e.key with
+        | Some body -> Left (e, Ok body)
+        | None -> Right e)
+      runs
   in
   let miss_results =
     let compute e = Answer.of_request e.req in
@@ -336,7 +401,7 @@ let solve_batch t (batch : entry list) =
       (fun e res ->
         (match res with
         | Ok body ->
-          ignore (Cache.Memo.find_or_compute memo ~key:e.key (fun () -> body) : string)
+          ignore (Cache.Memo.find_or_compute t.memo ~key:e.key (fun () -> body) : string)
         | Error _ -> ());
         (e, res))
       misses computed
@@ -468,7 +533,8 @@ let start cfg =
   Obs.set_clock Unix.gettimeofday;
   Obs.enable ();
   Cache.enable ();
-  ignore (Lazy.force response_memo);
+  (* registered before the load, so the file's answers land in it *)
+  let memo = Lazy.force response_memo in
   (* load before any thread exists, so the first batch already
      answers warm *)
   (match cfg.cache_file with
@@ -485,13 +551,15 @@ let start cfg =
       mu = Mutex.create ();
       queue = Queue.create ();
       inflight = Hashtbl.create 16;
-      ctrs =
-        { c_requests = 0; c_ok = 0; c_errors = 0; c_shed = 0; c_timeout = 0;
-          c_coalesced = 0 };
+      ctrs = zero_counters ();
       stats_serial = 0;
+      memo;
+      bounded = Hashtbl.create 16;
+      inline_ms = [];
+      unbounded = [];
       wake_r;
       wake_w;
-      mirrored = (0, 0, 0, 0, 0, 0);
+      mirrored = zero_counters ();
       conns = [];
       solver = None;
       acceptor = None;

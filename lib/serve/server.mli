@@ -3,14 +3,25 @@
     One process, three kinds of threads.  An {e accept} thread takes
     connections; a {e connection} thread per client reads framed
     {!Wire} requests and writes framed responses; a single {e solver}
-    thread owns every piece of ambient state ({!Obs} metrics, the
-    response memo, the {!Par} pool) and is the only thread that
-    touches it — connection threads communicate with it through a
-    mutex-guarded queue and per-request wakeup pipes, nothing else.
-    That single-mutator rule is what makes it safe to run the
+    thread owns the ambient state ({!Obs} metrics, the {!Par} pool)
+    and computes every answer.  A request whose answer is already in
+    the response memo is answered on its connection thread through
+    {!Cache.Memo.find_opt}, which takes only the table's lock and
+    never touches Obs; misses and [stats] reach the solver through a
+    mutex-guarded queue and per-request wakeup pipes.  What Obs would
+    record for an inline answer (its latency sample, a workload the
+    bounds have not seen) waits under the server mutex until the
+    solver folds it in, before it mirrors counters or renders
+    [stats] — so the stats answer counts inline answers too.  That
+    single-mutator rule is what makes it safe to run the
     deliberately lock-free, domain-local observability layer under
     systhreads.  ({!Cache} tables carry their own locks, so the
     pricing and validation memos are also safe for {!Par} workers.)
+
+    A connection whose peer goes away ([Unix.Unix_error]) closes
+    quietly; any other exception in a connection thread closes that
+    connection, is printed to stderr and counts in [conn_failed],
+    shown by [stats].
 
     Robustness contract, each piece visible to clients as a structured
     response rather than a hung or dropped connection:

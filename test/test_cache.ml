@@ -275,6 +275,67 @@ let test_cost_key_seed_free_kinds () =
   Alcotest.(check int) "search: one entry per seed" (before + 4)
     (Cache.stats ()).Cache.entries
 
+(* No pricing formula reads the fault seed (only Eventsim's drop
+   hashes do), so faulted pricings differing only in seed are one
+   entry with one breakdown. *)
+let test_cost_key_fault_seed_free () =
+  let plan = example1_plan () and cm5 = Machine.Models.cm5 () in
+  let price seed =
+    Resopt.Cost.of_plan
+      ~faults:(Machine.Fault.make ~seed [ Machine.Fault.Flaky { link = None; prob = 0.05 } ])
+      cm5 plan
+  in
+  fresh @@ fun () ->
+  let first = price 0 in
+  for seed = 1 to 15 do
+    Alcotest.(check bool) (Printf.sprintf "fault seed %d: same breakdown" seed) true
+      (price seed = first)
+  done;
+  Alcotest.(check int) "flaky:0.05: one entry for sixteen seeds" 1
+    (Cache.stats ()).Cache.entries
+
+(* The fault grammar prints probabilities with %g; the key must not:
+   two that print alike are two entries, each with its own price. *)
+let test_cost_key_exact_probabilities () =
+  let plan = example1_plan () and cm5 = Machine.Models.cm5 () in
+  let faults prob = Machine.Fault.make [ Machine.Fault.Flaky { link = None; prob } ] in
+  let price ?cache prob = Resopt.Cost.of_plan ?cache ~faults:(faults prob) cm5 plan in
+  Alcotest.(check string) "the two print alike"
+    (Machine.Fault.label (faults 0.1234567))
+    (Machine.Fault.label (faults 0.1234568));
+  fresh @@ fun () ->
+  ignore (price 0.1234567 : Resopt.Cost.breakdown);
+  Alcotest.(check bool) "second probability priced afresh" true
+    (price 0.1234568 = price ~cache:false 0.1234568);
+  Alcotest.(check int) "two entries" 2 (Cache.stats ()).Cache.entries
+
+(* What guards that key: with the cache off, a plan priced under a
+   random fault schedule costs the same under two different seeds, on
+   every model. *)
+let prop_pricing_ignores_fault_seed =
+  QCheck.Test.make ~count:60 ~name:"faulted pricing ignores the fault seed"
+    QCheck.(quad small_nat small_nat int int)
+    (fun (nest_seed, schedule_seed, s1, s2) ->
+      match
+        Resopt.Pipeline.run ~m:2 (Nestir.Gennest.generate ~seed:(7_000_000 + nest_seed))
+      with
+      | exception Failure _ -> QCheck.assume_fail ()
+      | r ->
+        List.for_all
+          (fun (model : Machine.Models.t) ->
+            let specs =
+              Machine.Fault.random_specs
+                (Machine.Fault.Rng.make schedule_seed)
+                model.Machine.Models.topo
+            in
+            let price seed =
+              Resopt.Cost.of_plan ~cache:false
+                ~faults:(Machine.Fault.make ~seed specs)
+                model r.Resopt.Pipeline.plan
+            in
+            compare (price s1) (price s2) = 0)
+          [ Machine.Models.cm5 (); Machine.Models.paragon (); Machine.Models.t3d () ])
+
 (* The cost.of_plan section of a saved file, with [schema] and every
    value replaced by [poison]. *)
 let relabelled_cost_section file ~schema poison =
@@ -296,10 +357,11 @@ let relabelled_cost_section file ~schema poison =
           })
     (Marshal.from_string payload 0 : fake_section list)
 
-(* A v2 snapshot keyed a mapping-free pricing exactly as v3 does; its
-   section must still load cold (skipped, not absorbed) and must not
-   count as corruption.  The same section relabelled v3 is absorbed,
-   which shows the keys would have matched. *)
+(* v2 and v3 snapshots keyed a fault-free, mapping-free pricing
+   exactly as v4 does; their sections must still load cold (skipped,
+   not absorbed) and must not count as corruption.  The same section
+   relabelled v4 is absorbed, which shows the keys would have
+   matched. *)
 let test_cost_v2_section_loads_cold () =
   let plan = example1_plan () and cm5 = Machine.Models.cm5 () in
   let file = temp_file () in
@@ -333,8 +395,11 @@ let test_cost_v2_section_loads_cold () =
   Alcotest.(check int) "v2 section skipped" 0 entries;
   Alcotest.(check bool) "v2: priced afresh" true (priced = real);
   let entries, priced = load_as "v3" in
-  Alcotest.(check int) "v3 section absorbed" 1 entries;
-  Alcotest.(check bool) "v3: served from the file" true (priced = poison)
+  Alcotest.(check int) "v3 section skipped" 0 entries;
+  Alcotest.(check bool) "v3: priced afresh" true (priced = real);
+  let entries, priced = load_as "v4" in
+  Alcotest.(check int) "v4 section absorbed" 1 entries;
+  Alcotest.(check bool) "v4: served from the file" true (priced = poison)
 
 (* ------------------------------------------------------------------ *)
 (* Differential properties: cached = uncached, everywhere              *)
@@ -514,6 +579,11 @@ let () =
             test_cost_key_seed_free_kinds;
           Alcotest.test_case "v2 section loads cold" `Quick
             test_cost_v2_section_loads_cold;
+          Alcotest.test_case "fault seeds share an entry" `Quick
+            test_cost_key_fault_seed_free;
+          QCheck_alcotest.to_alcotest prop_pricing_ignores_fault_seed;
+          Alcotest.test_case "exact fault probabilities" `Quick
+            test_cost_key_exact_probabilities;
         ] );
       ( "differential",
         [

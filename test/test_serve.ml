@@ -498,6 +498,128 @@ let test_server_snapshot_restart_warm () =
         (entries_after_load > 0);
       Alcotest.(check string) "warm restart serves identical bytes" a b)
 
+(* The stats answer as (key, integer value) pairs. *)
+let stats_ints c =
+  match must_request c Wire.stats with
+  | Wire.Answer body ->
+    List.filter_map
+      (fun line ->
+        match String.split_on_char '=' line with
+        | [ k; v ] -> Option.map (fun n -> (k, n)) (int_of_string_opt v)
+        | _ -> None)
+      (String.split_on_char '\n' body)
+  | r -> Alcotest.fail ("expected stats Answer, got " ^ Wire.status r)
+
+let stat kvs k =
+  match List.assoc_opt k kvs with
+  | Some v -> v
+  | None -> Alcotest.fail ("stats lack " ^ k)
+
+(* A fresh server whose metrics start from zero: Obs is reset while no
+   server runs, and the memo tables are emptied. *)
+let with_fresh_server ?jobs ?cache_file f =
+  Cache.clear ();
+  Obs.reset ();
+  with_server ?jobs ?cache_file f
+
+(* Repeats of one key are answered on the connection thread, yet the
+   stats answer counts every one of them: its own request included,
+   K + 1 requests, K ok, at least K - 1 response-memo hits and the
+   pair bounded.  Each answer leaves one latency sample, and the stats
+   answer one more after it renders. *)
+let test_server_inline_repeats_counted () =
+  let k = 8 in
+  let req = Wire.run ~m:2 ~faults:"flaky:0.02" ~fseed:5 "transpose" in
+  let kvs =
+    with_fresh_server @@ fun t ->
+    let c = must_connect t in
+    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+    let first = must_request c req in
+    for _ = 2 to k do
+      Alcotest.(check bool) "repeat bytes" true (must_request c req = first)
+    done;
+    stats_ints c
+  in
+  Alcotest.(check int) "requests" (k + 1) (stat kvs "requests");
+  Alcotest.(check int) "ok" k (stat kvs "ok");
+  Alcotest.(check bool) "cache_hits >= K - 1" true (stat kvs "cache_hits" >= k - 1);
+  Alcotest.(check int) "bounds_computed" 1 (stat kvs "bounds_computed");
+  Alcotest.(check int) "conn_failed" 0 (stat kvs "conn_failed");
+  match Obs.histogram "serve.latency_ms" with
+  | Some h -> Alcotest.(check int) "latency samples" (k + 1) h.Obs.count
+  | None -> Alcotest.fail "no serve.latency_ms samples"
+
+(* After a snapshot and a restart, a stream the loaded memo answers
+   entirely inline still bounds each of its (workload, m) pairs. *)
+let test_server_restart_inline_bounds () =
+  let file = Filename.temp_file "serve_bounds" ".bin" in
+  Fun.protect ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+  @@ fun () ->
+  let reqs =
+    [ Wire.run ~m:2 "example1"; Wire.run ~m:1 "matmul"; Wire.run ~m:2 "example1" ]
+  in
+  let stream t =
+    let c = must_connect t in
+    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+    List.iter
+      (fun r ->
+        match must_request c r with
+        | Wire.Answer _ -> ()
+        | r -> Alcotest.fail ("expected Answer, got " ^ Wire.status r))
+      reqs;
+    stats_ints c
+  in
+  ignore (with_fresh_server ~cache_file:file stream : (string * int) list);
+  let kvs = with_fresh_server ~cache_file:file stream in
+  Alcotest.(check int) "warm: no misses" 0 (stat kvs "cache_misses");
+  Alcotest.(check int) "warm: every run ok" 3 (stat kvs "ok");
+  Alcotest.(check int) "both pairs bounded" 2 (stat kvs "bounds_computed");
+  Alcotest.(check int) "no bound failed" 0 (stat kvs "bounds_failed")
+
+(* Clients racing over one server, each replaying a mix with repeats
+   and misses: every body equals the offline answer, whichever thread
+   answered it, and no connection fails. *)
+let test_server_concurrent_mixed () =
+  let streams = List.init 3 (fun i -> Loadgen.mix ~seed:(90 + (i mod 2)) ~n:30 ()) in
+  let expected = List.map (List.map (fun r -> Answer.of_request r)) streams in
+  with_fresh_server ~jobs:2 @@ fun t ->
+  let addr = Server.address t in
+  let got = Array.make (List.length streams) [] in
+  let ths =
+    List.mapi
+      (fun i reqs ->
+        Thread.create
+          (fun () ->
+            match Client.connect addr with
+            | Error e -> got.(i) <- [ Error e ]
+            | Ok c ->
+              got.(i) <- List.map (fun r -> Client.request c r) reqs;
+              Client.close c)
+          ())
+      streams
+  in
+  List.iter Thread.join ths;
+  List.iteri
+    (fun i want ->
+      Alcotest.(check int) (Printf.sprintf "client %d answers" i) (List.length want)
+        (List.length got.(i));
+      List.iter2
+        (fun want got ->
+          match (want, got) with
+          | Ok w, Ok (Wire.Answer g) -> Alcotest.(check string) "body" w g
+          | Error w, Ok (Wire.Failed g) -> Alcotest.(check string) "error" w g
+          | _, Ok r -> Alcotest.fail ("unexpected " ^ Wire.status r)
+          | _, Error e -> Alcotest.fail e)
+        want got.(i))
+    expected;
+  let c = must_connect t in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let kvs = stats_ints c in
+  Alcotest.(check int) "conn_failed" 0 (stat kvs "conn_failed");
+  (* a coalesced request shares its leader's ok *)
+  Alcotest.(check int) "ok + coalesced = every run" 90
+    (stat kvs "ok" + stat kvs "coalesced")
+
 (* ------------------------------------------------------------------ *)
 (* The solved stage: cache on = cache off                              *)
 (* ------------------------------------------------------------------ *)
@@ -672,6 +794,12 @@ let () =
             test_server_bounds_failed_zero;
           Alcotest.test_case "m=0 answered with an error" `Quick
             test_server_rejects_m0;
+          Alcotest.test_case "inline repeats counted" `Quick
+            test_server_inline_repeats_counted;
+          Alcotest.test_case "restart: inline stream bounded" `Quick
+            test_server_restart_inline_bounds;
+          Alcotest.test_case "concurrent mixed clients" `Quick
+            test_server_concurrent_mixed;
         ] );
       ( "solved",
         [
