@@ -7,12 +7,17 @@
 
     Only four tables exist, each kept because an end-to-end
     measurement says it pays (2-core host, 20 s [perfbench] runs):
-    - [serve.responses] (capacity 512): whole rendered answers of the
-      [serve] daemon, persisted across restarts.  Two thirds of a
-      [Loadgen.mix] repeat a key.  Re-measured with [serve.solved] in
-      place (3 alternating pairs): without it, serve throughput drops
-      from 11.4–12.4k to 9.6–11.3k req/s and p50 latency grows from
-      0.042 to 0.060–0.066 ms.
+    - [serve.responses] (capacity 512, schema [resopt-serve/2]): the
+      [serve] daemon's answers as seed-free templates
+      ([Serve.Answer.template]), keyed on what the body reads, so the
+      fault seed and greedy/identity map seeds share one entry;
+      persisted across restarts.  A 5000-request [Loadgen.mix] has
+      1651 distinct requests but 132 templates.  Schema
+      [resopt-serve/1] held whole bodies and loads cold.  Measured
+      with whole bodies and [serve.solved] in place (3 alternating
+      pairs): without the table, serve throughput drops from
+      11.4–12.4k to 9.6–11.3k req/s and p50 latency grows from 0.042
+      to 0.060–0.066 ms.
     - [serve.solved] (capacity 256): the seed-independent stage of a
       served answer ([Serve.Answer]) per (workload, m, topology).
       The 1651 distinct keys of a 5000-request [Loadgen.mix] cover

@@ -242,24 +242,34 @@ let parse s =
     in
     go [] items
 
+(* The fewest significant digits that parse back to the same float:
+   [0.05] prints as [%g] would, [0.1234567] keeps all its digits. *)
+let float_to_string x =
+  let rec go p =
+    let s = Printf.sprintf "%.*g" p x in
+    if p >= 17 || float_of_string s = x then s else go (p + 1)
+  in
+  go 1
+
 let spec_to_string = function
   | Link_down { a; b; from_cycle = 0; until_cycle } when until_cycle = max_int ->
     Printf.sprintf "down:%d-%d" a b
   | Link_down { a; b; from_cycle; until_cycle } ->
     Printf.sprintf "down:%d-%d:%d-%d" a b from_cycle until_cycle
-  | Flaky { link = None; prob } -> Printf.sprintf "flaky:%g" prob
-  | Flaky { link = Some (a, b); prob } -> Printf.sprintf "flaky:%d-%d:%g" a b prob
-  | Degraded { link = None; factor } -> Printf.sprintf "degrade:%g" factor
+  | Flaky { link = None; prob } -> "flaky:" ^ float_to_string prob
+  | Flaky { link = Some (a, b); prob } ->
+    Printf.sprintf "flaky:%d-%d:%s" a b (float_to_string prob)
+  | Degraded { link = None; factor } -> "degrade:" ^ float_to_string factor
   | Degraded { link = Some (a, b); factor } ->
-    Printf.sprintf "degrade:%d-%d:%g" a b factor
+    Printf.sprintf "degrade:%d-%d:%s" a b (float_to_string factor)
   | Dead_node r -> Printf.sprintf "dead:%d" r
 
 let to_string specs = String.concat ";" (List.map spec_to_string specs)
 
 let label t = if is_none t then "" else to_string t.specs
 
-(* Exact floats (%h), not the grammar's %g: two probabilities that
-   print alike must still key apart. *)
+(* Exact floats (%h): a key never depends on how the grammar prints a
+   float. *)
 let pricing_key t =
   if is_none t then "none"
   else

@@ -96,7 +96,10 @@ val max_retries : t -> int
 val parse : string -> (spec list, string) result
 
 val to_string : spec list -> string
-(** Round-trips through {!parse}. *)
+(** Round-trips through {!parse} exactly: probabilities and factors
+    print with the fewest significant digits that parse back to the
+    same float, so [flaky:0.05] prints as written and [flaky:0.1234567]
+    keeps all seven digits. *)
 
 val label : t -> string
 (** The model's spec grammar string, [""] for {!none} — the fault tag

@@ -40,6 +40,37 @@ type series_point = { point_name : string; point_ts : float; value : float }
 
 type histogram = { count : int; sum : float; min_v : float; max_v : float }
 
+(* A histogram's most recent [histogram_window] samples, which is what
+   percentiles read; count/sum/min/max stay exact over all of them.
+   The buffer grows by doubling up to the window, then [next] is the
+   oldest slot and the next one overwritten. *)
+let histogram_window = 65_536
+
+type ring = { mutable buf : float array; mutable filled : int; mutable next : int }
+
+let ring_add r v =
+  if r.filled < histogram_window then begin
+    if r.filled = Array.length r.buf then begin
+      let grown = Array.make (min histogram_window (max 16 (2 * r.filled))) 0.0 in
+      Array.blit r.buf 0 grown 0 r.filled;
+      r.buf <- grown
+    end;
+    r.buf.(r.filled) <- v;
+    r.filled <- r.filled + 1
+  end
+  else begin
+    r.buf.(r.next) <- v;
+    r.next <- (r.next + 1) mod histogram_window
+  end
+
+(* oldest first *)
+let ring_to_array r =
+  if r.filled < histogram_window then Array.sub r.buf 0 r.filled
+  else
+    Array.append
+      (Array.sub r.buf r.next (histogram_window - r.next))
+      (Array.sub r.buf 0 r.next)
+
 type collector = {
   mutable span_log : span list; (* reverse completion order *)
   mutable point_log : series_point list; (* reverse order *)
@@ -47,7 +78,7 @@ type collector = {
   counters : (string, int) Hashtbl.t;
   gauges : (string, float) Hashtbl.t;
   histos : (string, histogram) Hashtbl.t;
-  histo_samples : (string, float list) Hashtbl.t; (* reverse order *)
+  histo_samples : (string, ring) Hashtbl.t;
 }
 
 let new_collector () =
@@ -132,6 +163,14 @@ let set_gauge name v = if !enabled_flag then Hashtbl.replace (cur ()).gauges nam
 
 let gauge name = Hashtbl.find_opt (cur ()).gauges name
 
+let ring_of c name =
+  match Hashtbl.find_opt c.histo_samples name with
+  | Some r -> r
+  | None ->
+    let r = { buf = [||]; filled = 0; next = 0 } in
+    Hashtbl.replace c.histo_samples name r;
+    r
+
 let observe name v =
   if !enabled_flag then
     let histos = (cur ()).histos in
@@ -147,14 +186,16 @@ let observe name v =
         }
     in
     Hashtbl.replace histos name h;
-    let samples = (cur ()).histo_samples in
-    Hashtbl.replace samples name
-      (v :: Option.value ~default:[] (Hashtbl.find_opt samples name))
+    ring_add (ring_of (cur ()) name) v
 
 let histogram name = Hashtbl.find_opt (cur ()).histos name
 
 let histo_array c name =
-  Array.of_list (Option.value ~default:[] (Hashtbl.find_opt c.histo_samples name))
+  match Hashtbl.find_opt c.histo_samples name with
+  | Some r -> ring_to_array r
+  | None -> [||]
+
+let histogram_samples name = histo_array (cur ()) name
 
 let histogram_percentiles name =
   let c = cur () in
@@ -482,11 +523,10 @@ module Worker = struct
           in
           Hashtbl.replace c.histos k merged)
         w.histos;
+      (* the worker's samples count as the newest: appended oldest
+         first, so the window keeps the most recent of both *)
       Hashtbl.iter
-        (fun k samples ->
-          Hashtbl.replace c.histo_samples k
-            (samples
-            @ Option.value ~default:[] (Hashtbl.find_opt c.histo_samples k)))
+        (fun k r -> Array.iter (ring_add (ring_of c k)) (ring_to_array r))
         w.histo_samples
 end
 

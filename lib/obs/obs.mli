@@ -97,18 +97,31 @@ val set_gauge : string -> float -> unit
 val gauge : string -> float option
 
 val observe : string -> float -> unit
-(** Add one observation to a named histogram (count / sum / min /
-    max are retained). *)
+(** Add one observation to a named histogram.  Count / sum / min /
+    max are exact over every observation; the samples themselves are
+    kept only for the most recent {!histogram_window}, so a
+    long-lived process (the serve daemon records one per request)
+    holds bounded memory. *)
+
+val histogram_window : int
+(** 65 536: how many of a histogram's most recent samples are kept
+    for its percentiles. *)
 
 type histogram = { count : int; sum : float; min_v : float; max_v : float }
 
 val histogram : string -> histogram option
 
+val histogram_samples : string -> float array
+(** The retained samples of a named histogram, oldest first — at most
+    {!histogram_window} of them; [[||]] if it has none. *)
+
 val histogram_percentiles : string -> (float * float * float) option
-(** [(p50, p95, p99)] of a named histogram's recorded observations
-    (nearest-rank, see {!Telemetry.percentile}); [None] if the
-    histogram has no observations.  These also appear as columns in
-    {!pp_summary} and as fields in {!metrics_json}. *)
+(** [(p50, p95, p99)] of a named histogram's retained samples
+    (nearest-rank, see {!Telemetry.percentile}) — exact over every
+    observation up to {!histogram_window} of them, over the most
+    recent window beyond; [None] if the histogram has no
+    observations.  These also appear as columns in {!pp_summary} and
+    as fields in {!metrics_json}. *)
 
 val point : string -> ts:float -> float -> unit
 (** Record one sample of an explicit time series, e.g.
@@ -168,7 +181,9 @@ module Worker : sig
   val merge : snapshot -> unit
   (** Fold a snapshot into the {e current} domain's registry: spans
       and points are appended (keeping their internal order), counters
-      and histograms are summed, gauges take the snapshot's value.
+      and histograms are summed (the snapshot's samples count as the
+      newest, and the merged window keeps the most recent
+      {!histogram_window}), gauges take the snapshot's value.
       Call it from the coordinating domain after the worker has
       finished — snapshots are plain values, so merging in slot order
       keeps the registry deterministic. *)

@@ -8,11 +8,15 @@
      waiter lists, inline tallies), their own socket, their own waiter
      pipe, pure code, and [Cache.Memo.find_opt] on the response memo,
      which takes the table's own lock and never touches Obs.
-   - A response-memo hit is answered on its connection thread.  What
-     Obs would record for it — a [serve.latency_ms] sample, a
-     (workload, m) pair not yet bounded — waits in the inline tallies
-     under the server mutex; the solver folds them into Obs before it
-     mirrors counters or renders stats.
+   - The response memo holds seed-free templates keyed by
+     [Answer.template_key]; a hit is a template fill (a pure string
+     concatenation with the request's fault seed), answered on its
+     connection thread.  What Obs would record for it — a
+     [serve.latency_ms] sample, a (workload, m) pair not yet bounded —
+     waits in the inline tallies under the server mutex; the solver
+     folds them into Obs before it mirrors counters or renders stats.
+   - Coalescing stays keyed on the full [Wire.solve_key]: waiters on
+     one entry share its body, so they must share its fault seed.
    - Signal handlers only flip an atomic; every blocking wait is a
      select with a short timeout, so the flag is noticed promptly. *)
 
@@ -59,7 +63,7 @@ type t = {
   inflight : (string, entry) Hashtbl.t;
   ctrs : counters;
   mutable stats_serial : int;
-  memo : string Cache.Memo.t;  (* the response memo *)
+  memo : Answer.template Cache.Memo.t;  (* the response memo *)
   bounded : (string * int, unit) Hashtbl.t;
       (* (workload, m) pairs already handed to [observe_bounds] *)
   mutable inline_ms : float list;  (* inline latency samples, newest first *)
@@ -82,11 +86,12 @@ let stopping t = Atomic.get t.stop_flag
 
 (* Answers persist across restarts: this is the table the snapshot
    loop makes kill -9-proof.  Lazy so binaries that link the library
-   but never serve register nothing. *)
+   but never serve register nothing.  Schema /2 holds templates; a /1
+   section (whole bodies) is skipped on load. *)
 let response_memo =
   lazy
     (Cache.Memo.create ~capacity:512 ~name:"serve.responses"
-       ~schema:"resopt-serve/1" ())
+       ~schema:"resopt-serve/2" ())
 
 let locked t f =
   Mutex.lock t.mu;
@@ -243,11 +248,13 @@ let handle_request t payload =
     | Wire.Ping -> Wire.Answer "pong"
     | Wire.Stats -> queued t req (stats_key t)
     | Wire.Run -> (
-      let key = Wire.solve_key req in
       let t0 = Unix.gettimeofday () in
-      match if stopping t then None else Cache.Memo.find_opt t.memo key with
-      | Some body -> answer_inline t req ~t0 body
-      | None -> queued t req key))
+      match
+        if stopping t then None
+        else Cache.Memo.find_opt t.memo (Answer.template_key req)
+      with
+      | Some tpl -> answer_inline t req ~t0 (Answer.fill tpl ~seed:req.Wire.fseed)
+      | None -> queued t req (Wire.solve_key req)))
 
 let conn_loop t fd =
   let rec loop () =
@@ -375,36 +382,48 @@ let solve_batch t (batch : entry list) =
   let runs, stats_es =
     List.partition (fun e -> e.req.Wire.op = Wire.Run) batch
   in
-  (* a key filled since its request was admitted answers from the
-     memo; distinct misses fan out over the pool (Par merges each
-     worker's Obs capture back here at join, and workers touch only
-     the self-locking solved, pricing and validation tables, never the
-     response memo) *)
-  let hit_results, misses =
-    List.partition_map
+  (* a template filled since its request was admitted answers from
+     the memo; each missing template is rendered once, however many
+     fault seeds ask for it, and distinct misses fan out over the pool
+     (Par merges each worker's Obs capture back here at join, and
+     workers touch only the self-locking solved, pricing and
+     validation tables, never the response memo) *)
+  let misses = ref [] in
+  let keyed =
+    List.map
       (fun e ->
-        match Cache.Memo.find_opt t.memo e.key with
-        | Some body -> Left (e, Ok body)
-        | None -> Right e)
+        let key = Answer.template_key e.req in
+        let hit = Cache.Memo.find_opt t.memo key in
+        if Option.is_none hit && not (List.mem_assoc key !misses) then
+          misses := (key, e.req) :: !misses;
+        (e, key, hit))
       runs
   in
-  let miss_results =
-    let compute e = Answer.of_request e.req in
-    let computed =
+  let computed =
+    let misses = List.rev !misses in
+    let compute (_, req) = Answer.template_of_request req in
+    let results =
       match misses with
-      | [] | [ _ ] -> List.map compute misses
-      | _ when t.cfg.jobs > 1 ->
+      | _ :: _ :: _ when t.cfg.jobs > 1 ->
         Par.map (Par.Shared.get ~jobs:t.cfg.jobs) compute misses
       | _ -> List.map compute misses
     in
     List.map2
-      (fun e res ->
+      (fun (key, _) res ->
         (match res with
-        | Ok body ->
-          ignore (Cache.Memo.find_or_compute t.memo ~key:e.key (fun () -> body) : string)
+        | Ok tpl ->
+          ignore
+            (Cache.Memo.find_or_compute t.memo ~key (fun () -> tpl) : Answer.template)
         | Error _ -> ());
-        (e, res))
-      misses computed
+        (key, res))
+      misses results
+  in
+  let run_results =
+    List.map
+      (fun (e, key, hit) ->
+        let res = match hit with Some tpl -> Ok tpl | None -> List.assoc key computed in
+        (e, Result.map (Answer.fill ~seed:e.req.Wire.fseed) res))
+      keyed
   in
   let stats_results =
     List.map (fun e -> (e, Ok (render_stats t))) stats_es
@@ -425,7 +444,7 @@ let solve_batch t (batch : entry list) =
         ignore_unix (fun () -> ignore (Unix.write fd (Bytes.make 1 '.') 0 1)))
       e.waiters
   in
-  List.iter finish (hit_results @ miss_results @ stats_results)
+  List.iter finish (run_results @ stats_results)
 
 let snapshot t =
   match t.cfg.cache_file with

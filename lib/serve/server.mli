@@ -4,11 +4,15 @@
     connections; a {e connection} thread per client reads framed
     {!Wire} requests and writes framed responses; a single {e solver}
     thread owns the ambient state ({!Obs} metrics, the {!Par} pool)
-    and computes every answer.  A request whose answer is already in
-    the response memo is answered on its connection thread through
-    {!Cache.Memo.find_opt}, which takes only the table's lock and
-    never touches Obs; misses and [stats] reach the solver through a
-    mutex-guarded queue and per-request wakeup pipes.  What Obs would
+    and computes every answer.  The response memo ([serve.responses])
+    holds seed-free {!Answer.template}s keyed by
+    {!Answer.template_key}, so requests that differ only in their
+    fault seed or a greedy/identity map seed share one entry.  A
+    request whose template is already there is answered on its
+    connection thread — {!Cache.Memo.find_opt}, which takes only the
+    table's lock and never touches Obs, then {!Answer.fill} with the
+    request's fault seed; misses and [stats] reach the solver through
+    a mutex-guarded queue and per-request wakeup pipes.  What Obs would
     record for an inline answer (its latency sample, a workload the
     bounds have not seen) waits under the server mutex until the
     solver folds it in, before it mirrors counters or renders
@@ -32,7 +36,8 @@
       default) gets a [timeout] response when it expires — the solve
       itself continues and warms the cache for the retry.
     - {e Coalescing}: concurrent requests for the same
-      {!Wire.solve_key} share one computation; all waiters get the
+      {!Wire.solve_key} (fault seed included, so every waiter's body
+      names its own seed) share one computation; all waiters get the
       same bytes.
     - {e Graceful drain}: {!stop} (or SIGTERM via
       {!install_signal_handlers}) stops accepting, sheds new work,
@@ -43,7 +48,43 @@
       the last interval and a restart answers warm.
 
     Answers are {!Answer.render} bytes — byte-identical to the offline
-    CLI, which is how the CI soak gate checks the whole tower. *)
+    CLI, which is how the CI soak gate checks the whole tower.
+
+    The [stats] answer is one [key=value] line each:
+    - [requests]: [run] and [stats] requests received, the asking
+      [stats] request included.  [ping]s and requests that fail to
+      decode are not counted.
+    - [ok]: answers a solve or a memo lookup produced, [stats]
+      answers included.  A coalesced waiter shares its leader's
+      answer and counts in [coalesced] instead.
+    - [errors]: [run] requests answered [error] by the solver
+      (unknown workload, bad fault spec or mapping kind, failed
+      solve).  Decode errors, such as [m < 1], are not counted.
+    - [shed]: requests refused because the queue was full or the
+      server was draining.
+    - [timeout]: waits whose deadline expired.  The solve goes on,
+      and its entry still counts in [ok] or [errors] when it ends, so
+      a timed-out request counts twice.
+    - [coalesced]: requests that joined an identical in-flight solve.
+    - [conn_failed]: connections closed by an exception other than a
+      vanished peer.
+    - [queue_depth]: solves waiting now.
+    - [latency_ms_p50], [latency_ms_p95], [latency_ms_p99]: server
+      time per answered entry (inline answers, solved entries and
+      [stats] answers; one per coalesced group) over the most recent
+      {!Obs.histogram_window} answers.  Absent before the first.
+    - [bounds_computed], [bounds_failed]: (workload, m) pairs whose
+      achieved-vs-bound efficiency was computed, or raised.
+    - [bounds_eff_mean], [bounds_eff_min], [bounds_eff_last]: those
+      efficiencies.  Absent before the first.
+    - [cache_hits], [cache_misses], [cache_entries]: totals over
+      every memo table since the last {!Cache.clear}.
+    - [cache_load_corrupt]: cache files or sections discarded as
+      corrupt on load.  A stale schema is skipped, not counted.
+
+    With no deadlines, [ok + coalesced + errors + shed + timeout]
+    counts the requests answered so far, and [requests] exceeds it by
+    those still in flight, the asking [stats] request included. *)
 
 type config = {
   addr : Wire.addr;

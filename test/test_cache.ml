@@ -294,15 +294,23 @@ let test_cost_key_fault_seed_free () =
   Alcotest.(check int) "flaky:0.05: one entry for sixteen seeds" 1
     (Cache.stats ()).Cache.entries
 
-(* The fault grammar prints probabilities with %g; the key must not:
-   two that print alike are two entries, each with its own price. *)
+(* Two probabilities that agree to six digits print apart, each
+   parsing back to its value, and are two entries, each with its own
+   price. *)
 let test_cost_key_exact_probabilities () =
   let plan = example1_plan () and cm5 = Machine.Models.cm5 () in
   let faults prob = Machine.Fault.make [ Machine.Fault.Flaky { link = None; prob } ] in
   let price ?cache prob = Resopt.Cost.of_plan ?cache ~faults:(faults prob) cm5 plan in
-  Alcotest.(check string) "the two print alike"
-    (Machine.Fault.label (faults 0.1234567))
-    (Machine.Fault.label (faults 0.1234568));
+  Alcotest.(check bool) "they print apart" true
+    (Machine.Fault.label (faults 0.1234567) <> Machine.Fault.label (faults 0.1234568));
+  List.iter
+    (fun prob ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%h parses back" prob)
+        true
+        (Machine.Fault.parse (Machine.Fault.label (faults prob))
+        = Ok [ Machine.Fault.Flaky { link = None; prob } ]))
+    [ 0.1234567; 0.1234568 ];
   fresh @@ fun () ->
   ignore (price 0.1234567 : Resopt.Cost.breakdown);
   Alcotest.(check bool) "second probability priced afresh" true

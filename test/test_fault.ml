@@ -23,6 +23,29 @@ let test_parse_roundtrip () =
     | Ok specs' ->
       Alcotest.(check bool) "round-trips" true (specs = specs'))
 
+(* Printing keeps every float exactly and the familiar specs as
+   written. *)
+let test_to_string_exact () =
+  List.iter
+    (fun spec ->
+      match Fault.parse spec with
+      | Ok specs -> Alcotest.(check string) spec spec (Fault.to_string specs)
+      | Error e -> Alcotest.failf "parse %S: %s" spec e)
+    [ "flaky:0.05"; "flaky:0.1;degrade:0.5;down:0-1"; "dead:5"; "flaky:0.1234567" ];
+  let rng = Fault.Rng.make 3 in
+  for _ = 1 to 200 do
+    let specs =
+      [
+        Fault.Flaky { link = None; prob = Fault.Rng.float rng };
+        Fault.Degraded { link = Some (1, 2); factor = 1.0 -. Fault.Rng.float rng };
+      ]
+    in
+    match Fault.parse (Fault.to_string specs) with
+    | Ok specs' ->
+      Alcotest.(check bool) (Fault.to_string specs) true (specs = specs')
+    | Error e -> Alcotest.failf "re-parse failed: %s" e
+  done
+
 let test_parse_errors () =
   List.iter
     (fun bad ->
@@ -229,6 +252,7 @@ let () =
           Alcotest.test_case "round-trip" `Quick test_parse_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_parse_errors;
           Alcotest.test_case "make validates" `Quick test_make_validates;
+          Alcotest.test_case "to_string exact" `Quick test_to_string_exact;
         ] );
       ( "determinism",
         [

@@ -237,6 +237,73 @@ let test_gauge_and_histogram () =
     Alcotest.(check (float 1e-9)) "max" 7.0 h.Obs.max_v);
   teardown ()
 
+(* A million observations keep at most one window of samples — the
+   most recent ones — while count / sum / min / max stay exact. *)
+let test_histogram_window_bounded () =
+  fresh ();
+  let n = 1_000_000 and w = Obs.histogram_window in
+  for i = 0 to n - 1 do
+    Obs.observe "h" (float_of_int i)
+  done;
+  let kept = Obs.histogram_samples "h" in
+  Alcotest.(check bool) "retained <= window" true (Array.length kept <= w);
+  Alcotest.(check (float 0.0)) "oldest retained" (float_of_int (n - w)) kept.(0);
+  Alcotest.(check (float 0.0)) "newest retained" (float_of_int (n - 1))
+    kept.(Array.length kept - 1);
+  (match Obs.histogram "h" with
+  | None -> Alcotest.fail "histogram missing"
+  | Some h ->
+    Alcotest.(check int) "count exact" n h.Obs.count;
+    Alcotest.(check (float 0.0)) "sum exact" (float_of_int (n * (n - 1) / 2)) h.Obs.sum;
+    Alcotest.(check (float 0.0)) "min exact" 0.0 h.Obs.min_v;
+    Alcotest.(check (float 0.0)) "max exact" (float_of_int (n - 1)) h.Obs.max_v);
+  teardown ()
+
+(* Up to one window, percentiles are those of every observation. *)
+let test_histogram_percentiles_exact_below_window () =
+  let rng = Random.State.make [| 17 |] in
+  List.iter
+    (fun n ->
+      fresh ();
+      let xs = List.init n (fun _ -> Random.State.float rng 100.0) in
+      List.iter (Obs.observe "h") xs;
+      let all = Array.of_list xs in
+      let want =
+        Some
+          ( Obs.Telemetry.percentile all 50.0,
+            Obs.Telemetry.percentile all 95.0,
+            Obs.Telemetry.percentile all 99.0 )
+      in
+      Alcotest.(check (option (triple (float 0.0) (float 0.0) (float 0.0))))
+        (Printf.sprintf "n=%d" n) want
+        (Obs.histogram_percentiles "h");
+      teardown ())
+    [ 1; 2; 7; 1000; Obs.histogram_window ]
+
+(* A worker's samples merge as the newest, and the merged window keeps
+   the most recent of both sides. *)
+let test_histogram_merge_truncates () =
+  fresh ();
+  let w = Obs.histogram_window in
+  for _ = 1 to 10 do
+    Obs.observe "h" (-1.0)
+  done;
+  let (), snap =
+    Obs.Worker.capture ~worker:1 (fun () ->
+        for i = 0 to w + 99 do
+          Obs.observe "h" (float_of_int i)
+        done)
+  in
+  Obs.Worker.merge snap;
+  let kept = Obs.histogram_samples "h" in
+  Alcotest.(check int) "window" w (Array.length kept);
+  Alcotest.(check (float 0.0)) "oldest kept" 100.0 kept.(0);
+  Alcotest.(check (float 0.0)) "newest kept" (float_of_int (w + 99)) kept.(w - 1);
+  (match Obs.histogram "h" with
+  | Some h -> Alcotest.(check int) "count exact" (w + 110) h.Obs.count
+  | None -> Alcotest.fail "histogram missing");
+  teardown ()
+
 (* ------------------------------------------------------------------ *)
 (* Exporters                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -463,6 +530,12 @@ let () =
         [
           Alcotest.test_case "counter arithmetic" `Quick test_counter_arithmetic;
           Alcotest.test_case "gauge and histogram" `Quick test_gauge_and_histogram;
+          Alcotest.test_case "histogram window bounded" `Quick
+            test_histogram_window_bounded;
+          Alcotest.test_case "percentiles exact below window" `Quick
+            test_histogram_percentiles_exact_below_window;
+          Alcotest.test_case "merge truncates to window" `Quick
+            test_histogram_merge_truncates;
         ] );
       ( "export",
         [

@@ -620,11 +620,169 @@ let test_server_concurrent_mixed () =
   Alcotest.(check int) "ok + coalesced = every run" 90
     (stat kvs "ok" + stat kvs "coalesced")
 
+let body r = match Answer.of_request r with Ok s -> s | Error e -> Alcotest.fail e
+
+(* Two requests that differ only in the fault seed share a template
+   but not a body: sent at once, each gets its own seed back. *)
+let test_server_fault_seeds_apart () =
+  let reqs =
+    List.init 10 (fun fseed ->
+        Wire.run ~m:2 ~faults:"flaky:0.05" ~fseed ~map:"greedy" ~mseed:fseed "gauss")
+  in
+  let expected = List.map body reqs in
+  with_fresh_server ~jobs:2 @@ fun t ->
+  let addr = Server.address t in
+  let results = Array.make (List.length reqs) None in
+  let ths =
+    List.mapi
+      (fun i req ->
+        Thread.create (fun () -> results.(i) <- Some (Client.call ~attempts:3 addr req)) ())
+      reqs
+  in
+  List.iter Thread.join ths;
+  List.iteri
+    (fun i want ->
+      match results.(i) with
+      | Some (Ok (Wire.Answer got)) ->
+        Alcotest.(check string) (Printf.sprintf "fseed %d body" i) want got;
+        Alcotest.(check bool)
+          (Printf.sprintf "fseed %d named" i)
+          true
+          (match
+             Str.search_forward (Str.regexp_string (Printf.sprintf "(seed %d):" i)) got 0
+           with
+          | _ -> true
+          | exception Not_found -> false)
+      | Some (Ok r) -> Alcotest.fail ("client got " ^ Wire.status r)
+      | Some (Error e) -> Alcotest.fail e
+      | None -> Alcotest.fail "client never finished")
+    expected
+
+(* Once a stream has warmed the server, the same stream with other
+   fault seeds and other greedy map seeds reads only templates that
+   are already there: no table misses, every body its own. *)
+let test_server_reseeded_stream_warm () =
+  let warm = Loadgen.mix ~seed:23 ~n:40 () in
+  let reseeded =
+    List.mapi
+      (fun i (r : Wire.request) ->
+        { r with Wire.fseed = r.Wire.fseed + 100 + i; mseed = r.Wire.mseed + 7 + i })
+      warm
+  in
+  let expected = List.map body reseeded in
+  with_fresh_server @@ fun t ->
+  let c = must_connect t in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  List.iter (fun r -> ignore (must_request c r : Wire.response)) warm;
+  let before = stats_ints c in
+  List.iter2
+    (fun r want ->
+      match must_request c r with
+      | Wire.Answer got -> Alcotest.(check string) "reseeded body" want got
+      | r -> Alcotest.fail ("expected Answer, got " ^ Wire.status r))
+    reseeded expected;
+  let after = stats_ints c in
+  Alcotest.(check int) "no new cache_misses" (stat before "cache_misses")
+    (stat after "cache_misses");
+  Alcotest.(check int) "every reseeded run ok"
+    (stat before "ok" + List.length reseeded + 1)
+    (stat after "ok")
+
+(* the cache file layout, written by hand: a magic line, the FNV-1a of
+   the payload, then the marshalled section list *)
+type fake_section = { p_name : string; p_schema : string; p_pairs : (string * string) list }
+
+let write_cache_file file sections =
+  let payload = Marshal.to_string (sections : fake_section list) [] in
+  let h = ref 0xbf29ce484222325 in
+  String.iter
+    (fun ch ->
+      h := !h lxor Char.code ch;
+      h := !h * 0x100000001b3)
+    payload;
+  Out_channel.with_open_bin file (fun oc ->
+      Printf.fprintf oc "RESOPTCACHE1\n%016x\n" (!h land max_int);
+      output_string oc payload)
+
+(* A snapshot from before templates holds whole bodies under schema
+   resopt-serve/1: it loads cold, is not counted as corrupt, and never
+   answers as a template. *)
+let test_server_v1_snapshot_loads_cold () =
+  let file = Filename.temp_file "serve_v1" ".bin" in
+  Fun.protect ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+  @@ fun () ->
+  let req = Wire.run ~m:2 ~faults:"flaky:0.05" ~fseed:3 "example1" in
+  let want = body req in
+  write_cache_file file
+    [
+      {
+        p_name = "serve.responses";
+        p_schema = "resopt-serve/1";
+        p_pairs = [ (Wire.solve_key req, Marshal.to_string "poison" []) ];
+      };
+    ];
+  with_fresh_server ~cache_file:file @@ fun t ->
+  let c = must_connect t in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let loaded = stats_ints c in
+  Alcotest.(check int) "nothing loaded" 0 (stat loaded "cache_entries");
+  Alcotest.(check int) "not corrupt" 0 (stat loaded "cache_load_corrupt");
+  match must_request c req with
+  | Wire.Answer got -> Alcotest.(check string) "solved afresh" want got
+  | r -> Alcotest.fail ("expected Answer, got " ^ Wire.status r)
+
+(* What the stats counters count, over concurrent streams of repeats,
+   misses, errors and stats requests: each answered request lands in
+   exactly one of ok, coalesced, errors, shed and timeout, and
+   [requests] counts them all plus the stats request asking. *)
+let test_server_stats_counters_add_up () =
+  let stream i =
+    List.mapi
+      (fun j r ->
+        if j mod 8 = 7 then Wire.stats
+        else if j mod 11 = 5 then Wire.run "no_such_workload"
+        else r)
+      (Loadgen.mix ~seed:(60 + (i mod 2)) ~n:24 ())
+  in
+  let streams = List.init 3 stream in
+  let sent = List.fold_left (fun n l -> n + List.length l) 0 streams in
+  with_fresh_server ~jobs:2 @@ fun t ->
+  let addr = Server.address t in
+  let answered = Array.make (List.length streams) 0 in
+  let ths =
+    List.mapi
+      (fun i reqs ->
+        Thread.create
+          (fun () ->
+            match Client.connect addr with
+            | Error _ -> ()
+            | Ok c ->
+              List.iter
+                (fun r ->
+                  match Client.request c r with
+                  | Ok _ -> answered.(i) <- answered.(i) + 1
+                  | Error _ -> ())
+                reqs;
+              Client.close c)
+          ())
+      streams
+  in
+  List.iter Thread.join ths;
+  let answered = Array.fold_left ( + ) 0 answered in
+  Alcotest.(check int) "every request answered" sent answered;
+  let c = must_connect t in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let kvs = stats_ints c in
+  Alcotest.(check bool) "some errors" true (stat kvs "errors" > 0);
+  Alcotest.(check int) "ok + coalesced + errors + shed + timeout = answered" answered
+    (List.fold_left (fun n k -> n + stat kvs k) 0
+       [ "ok"; "coalesced"; "errors"; "shed"; "timeout" ]);
+  Alcotest.(check int) "requests = answered + this stats" (answered + 1)
+    (stat kvs "requests")
+
 (* ------------------------------------------------------------------ *)
 (* The solved stage: cache on = cache off                              *)
 (* ------------------------------------------------------------------ *)
-
-let body r = match Answer.of_request r with Ok s -> s | Error e -> Alcotest.fail e
 
 (* the body of every distinct solve key of [reqs], first-seen order,
    from an empty cache left on ([true]) or off *)
@@ -699,6 +857,61 @@ let test_solved_concurrent_misses () =
   List.iteri
     (fun i (a, b) -> Alcotest.(check string) (Printf.sprintf "request %d" i) a b)
     (List.combine off on)
+
+(* The template path against the one-pass oracle: a Loadgen mix with
+   its seeds redrawn, twice over with other seeds (the second pass
+   shares the first's templates), and every few requests a fault spec
+   of "none" or garbage (errors, never memoized) or a search map.
+   Bodies and errors must match with the cache off, cold and warm; the
+   warm pass fills templates kept by [Answer.template_key]. *)
+let prop_template_matches_oracle =
+  QCheck.Test.make ~count:20 ~name:"template bodies = one-pass oracle"
+    QCheck.(quad small_nat int small_nat small_nat)
+    (fun (seed, fseed, mseed, shape) ->
+      let reqs =
+        List.mapi
+          (fun i (r : Wire.request) ->
+            let r = { r with Wire.fseed = fseed + i; mseed = mseed + i } in
+            match (shape + i) mod 6 with
+            | 0 -> { r with Wire.faults = Some "none" }
+            | 1 -> { r with Wire.faults = Some "flaky:1.5" }
+            | 2 -> { r with Wire.map = Some "search" }
+            | 3 -> { r with Wire.faults = Some "flaky:0.05" }
+            | _ -> r)
+          (Loadgen.mix ~seed ~n:5 ())
+      in
+      let reqs =
+        reqs
+        @ List.map
+            (fun (r : Wire.request) ->
+              { r with Wire.fseed = r.Wire.fseed lxor 0x55; mseed = r.Wire.mseed + 9 })
+            reqs
+      in
+      let want =
+        Cache.scoped ~enable:false (fun () -> List.map Answer_oracle.of_request reqs)
+      in
+      let off = Cache.scoped ~enable:false (fun () -> List.map Answer.of_request reqs) in
+      Cache.clear ();
+      Fun.protect ~finally:Cache.clear @@ fun () ->
+      Cache.scoped ~enable:true @@ fun () ->
+      let templates = Hashtbl.create 16 in
+      let cold =
+        List.map
+          (fun r ->
+            let res = Answer.template_of_request r in
+            Result.iter (Hashtbl.replace templates (Answer.template_key r)) res;
+            Result.map (Answer.fill ~seed:r.Wire.fseed) res)
+          reqs
+      in
+      let warm =
+        List.map
+          (fun r ->
+            match Hashtbl.find_opt templates (Answer.template_key r) with
+            | Some tpl -> Ok (Answer.fill tpl ~seed:r.Wire.fseed)
+            | None -> Answer.of_request r)
+          reqs
+      in
+      want = off && want = cold && want = warm)
 
 (* ------------------------------------------------------------------ *)
 (* CLI: m < 1 is a usage error                                         *)
@@ -800,6 +1013,14 @@ let () =
             test_server_restart_inline_bounds;
           Alcotest.test_case "concurrent mixed clients" `Quick
             test_server_concurrent_mixed;
+          Alcotest.test_case "fault seeds answered apart" `Quick
+            test_server_fault_seeds_apart;
+          Alcotest.test_case "reseeded stream stays warm" `Quick
+            test_server_reseeded_stream_warm;
+          Alcotest.test_case "resopt-serve/1 snapshot loads cold" `Quick
+            test_server_v1_snapshot_loads_cold;
+          Alcotest.test_case "stats counters add up" `Quick
+            test_server_stats_counters_add_up;
         ] );
       ( "solved",
         [
@@ -809,6 +1030,7 @@ let () =
             test_solved_topo_differential;
           Alcotest.test_case "concurrent misses on one key" `Quick
             test_solved_concurrent_misses;
+          QCheck_alcotest.to_alcotest prop_template_matches_oracle;
         ] );
       ("cli", [ Alcotest.test_case "m < 1 rejected" `Quick test_cli_rejects_m_below_one ]);
     ]
